@@ -69,8 +69,12 @@ func TestCheckScaleGate(t *testing.T) {
 
 	bad = good
 	bad.Points = append([]ScalePoint(nil), good.Points...)
-	bad.Points[1].Speedup = 1.5
-	requireFail(t, CheckScale(bad, nil, 0.10), "below the")
+	bad.Points[1].Speedup = 1.05
+	requireFail(t, CheckScale(bad, nil, 0.10), "below the 1.1x floor")
+	bad.Points[1].Speedup = 1.15
+	if fails := CheckScale(bad, nil, 0.10); len(fails) != 0 {
+		t.Fatalf("1.15x sharded speedup failed the 1.1x floor: %v", fails)
+	}
 
 	bad = good
 	bad.Points = good.Points[:1] // no >=1024-rank point

@@ -85,20 +85,23 @@ type Node struct {
 // (src, dst) pair is FIFO because packets serialize on the source port and
 // experience identical latency.
 func (n *Node) Txn(dst int, nbytes int, elanIssued bool, deliver func()) {
-	c := n.M.Costs
-	send := func() {
-		wire := sim.Duration(nbytes) * c.TxnPerByte
-		n.Out.UseAsync(wire, func() {
-			n.M.transit(n, dst, nbytes, c.TxnPerByte, func() {
-				n.M.Nodes[dst].Elan.UseAsync(c.ElanTxnHandle, deliver)
-			})
-		})
-	}
 	if elanIssued {
-		n.Elan.UseAsync(c.ElanTxnHandle, send)
-	} else {
-		send()
+		n.Elan.UseAsync(n.M.Costs.ElanTxnHandle, func() { n.sendTxn(dst, nbytes, deliver) })
+		return
 	}
+	n.sendTxn(dst, nbytes, deliver)
+}
+
+// sendTxn injects a transaction on the source port. Kept out of Txn so a
+// SPARC-issued transaction, the common case, allocates no closure for the
+// Elan hop it skips.
+func (n *Node) sendTxn(dst int, nbytes int, deliver func()) {
+	c := n.M.Costs
+	n.Out.UseAsync(sim.Duration(nbytes)*c.TxnPerByte, func() {
+		n.M.transit(n, dst, nbytes, c.TxnPerByte, func() {
+			n.M.Nodes[dst].Elan.UseAsync(c.ElanTxnHandle, deliver)
+		})
+	})
 }
 
 // DMA models an Elan-driven bulk transfer of nbytes to node dst. The Elan

@@ -94,7 +94,6 @@ func NewShard(seed int64, n int, lookahead Duration) *Shard {
 	sh := &Shard{lanes: make([]*Scheduler, n), lookahead: Time(lookahead)}
 	for i := range sh.lanes {
 		ln := NewScheduler(seed + int64(i))
-		ln.coro = true
 		ln.shard = sh
 		ln.lane = i
 		sh.lanes[i] = ln

@@ -15,7 +15,7 @@ import (
 
 func TestShardSingleLaneMatchesScheduler(t *testing.T) {
 	// The same two-proc program on a standalone scheduler and on a 1-lane
-	// shard (coroutine procs) must produce identical timelines.
+	// shard (driven by the epoch loop) must produce identical timelines.
 	var traces [2][]string
 	run := func(idx int, s *Scheduler, drive func() (Time, error)) {
 		log := func(p *Proc, what string) {
@@ -47,8 +47,8 @@ func TestShardSingleLaneMatchesScheduler(t *testing.T) {
 }
 
 func TestShardLaneYieldOrdersSameInstantEvents(t *testing.T) {
-	// Same-instant Yield/event ordering must hold on coroutine lanes too:
-	// an event queued before the Yield runs first.
+	// Same-instant Yield/event ordering must hold on lanes too: an event
+	// queued before the Yield runs first.
 	sh := NewShard(1, 2, time.Microsecond)
 	ln := sh.Lane(1)
 	var order []string
@@ -474,46 +474,6 @@ func TestShardStatsAccounting(t *testing.T) {
 }
 
 // --- benchmarks ---
-
-// BenchmarkLaneProcSwitch measures the coroutine-based proc switch on a
-// shard lane; compare BenchmarkProcSwitch for the channel-based kernel.
-func BenchmarkLaneProcSwitch(b *testing.B) {
-	sh := NewShard(1, 1, time.Microsecond)
-	sh.Lane(0).Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Advance(time.Nanosecond)
-		}
-	})
-	b.ResetTimer()
-	if _, err := sh.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkLaneCondHandoff measures the Cond wait/signal cycle between two
-// coroutine procs on one lane.
-func BenchmarkLaneCondHandoff(b *testing.B) {
-	sh := NewShard(1, 1, time.Microsecond)
-	s := sh.Lane(0)
-	c1 := NewCond(s)
-	c2 := NewCond(s)
-	s.Spawn("a", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			c1.Wait(p)
-			c2.Signal()
-		}
-	})
-	s.Spawn("b", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			c1.Signal()
-			c2.Wait(p)
-		}
-	})
-	b.ResetTimer()
-	if _, err := sh.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // BenchmarkShardCrossLaneRoute measures the full cross-lane path: stage,
 // barrier merge, and destination dispatch, ping-ponging between two lanes.

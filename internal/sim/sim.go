@@ -1,32 +1,30 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // A simulation consists of a Scheduler owning a virtual clock and an event
-// queue, plus any number of Procs (logical processes). Procs run as
-// goroutines, but the kernel enforces that at any instant exactly one of
-// {the scheduler, one proc} executes; control is handed off over channels,
-// which also provides the happens-before edges that make shared model state
-// race-free without locks.
+// queue, plus any number of Procs (logical processes). Each Proc runs as a
+// runtime coroutine (iter.Pull): the kernel enforces that at any instant
+// exactly one of {the scheduler, one proc} executes, and control passes by
+// a direct coroutine switch, which also provides the happens-before edges
+// that make shared model state race-free without locks.
 //
 // Time is virtual: a Proc consumes time only by calling Advance (modeling
 // computation or device occupancy) or by blocking on a Cond/FIFO until some
 // event wakes it. Event ordering is (time, sequence), so runs are fully
 // deterministic for a given program and seed.
 //
-// Two kernels share this machinery. The default single-lane kernel above is
-// the reference: one Scheduler, one event queue, channel handoffs. The
-// sharded kernel (see Shard) partitions a world into per-node lanes — each
-// lane is a Scheduler in its own right — synchronized by a conservative
-// lookahead barrier; lane procs switch on runtime coroutines (iter.Pull)
-// instead of channels, which removes the goroutine round-trip per switch.
-// Scheduling is allocation-free in both: events are pooled on an intrusive
-// freelist and proc wakeups are typed events, not closures.
+// Two kernels share this machinery. The default single-lane kernel is the
+// reference: one Scheduler, one event queue. The sharded kernel (see Shard)
+// partitions a world into per-node lanes — each lane is a Scheduler in its
+// own right — synchronized by a conservative lookahead barrier. Both hand
+// off to procs the same way. Scheduling is allocation-free in both: events
+// are pooled on an intrusive freelist and proc wakeups are typed events,
+// not closures.
 package sim
 
 import (
 	"fmt"
 	"iter"
 	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 )
@@ -126,12 +124,9 @@ type Scheduler struct {
 	events  eventQueue
 	free    *event // event freelist (intrusive, via event.next)
 	seq     uint64
-	yield   chan struct{} // proc -> scheduler: parked or finished
 	procs   map[*Proc]struct{}
 	current *Proc // proc holding the execution token, nil if scheduler
 	rng     *rand.Rand
-	stopped bool
-	coro    bool // lane mode: procs switch on coroutines, not channels
 	// Limits guard against runaway models; zero means no limit.
 	MaxEvents uint64
 	MaxTime   Time
@@ -149,7 +144,6 @@ type Scheduler struct {
 // NewScheduler returns a Scheduler with the deterministic RNG seeded by seed.
 func NewScheduler(seed int64) *Scheduler {
 	return &Scheduler{
-		yield: make(chan struct{}),
 		procs: make(map[*Proc]struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
@@ -215,36 +209,22 @@ func (s *Scheduler) After(d Duration, fn func()) { s.At(s.now+Time(d), fn) }
 // atProc schedules a proc wakeup without allocating a closure.
 func (s *Scheduler) atProc(t Time, p *Proc) { s.schedule(t, nil, p) }
 
-// Proc is a logical process: a goroutine whose execution interleaves with
-// events under the scheduler's single execution token. On a standalone
-// scheduler the handoff is a channel pair; on a shard lane it is a runtime
-// coroutine switch (iter.Pull), which is several times cheaper.
+// Proc is a logical process: a runtime coroutine (iter.Pull) whose
+// execution interleaves with events under the scheduler's single execution
+// token. The scheduler resumes it with next; the proc hands the token back
+// with yield. Each handoff is a direct coroutine switch, with no goroutine
+// wakeup in between.
 type Proc struct {
 	s     *Scheduler
 	name  string
-	state procState
 	done  bool
-
-	// Channel kernel.
-	resume chan struct{}
-
-	// Coroutine kernel.
-	next    func() (struct{}, bool)
-	stop    func()
-	yieldTo func(struct{}) bool
+	next  func() (struct{}, bool) // scheduler -> proc: run until it parks or ends
+	stop  func()                  // Shutdown: unwind a parked proc
+	yield func(struct{}) bool     // proc -> scheduler: park; false once stopped
 }
 
-type procState int
-
-const (
-	procReady procState = iota
-	procRunning
-	procParked
-	procDone
-)
-
-// procStopped is the panic sentinel that unwinds a coroutine proc during
-// Shutdown without running further user code.
+// procStopped is the panic sentinel that unwinds a parked proc during
+// Shutdown: only the body's deferred calls run.
 type procStopped struct{}
 
 // Name reports the name the proc was spawned with.
@@ -257,49 +237,32 @@ func (p *Proc) Scheduler() *Scheduler { return p.s }
 func (p *Proc) Now() Time { return p.s.now }
 
 // Spawn creates a proc named name running fn, starting at the current
-// virtual time (after already-queued events at this time).
+// virtual time (after already-queued events at this time). A panic in fn
+// propagates, with its original value, out of the Run (or Step) that
+// dispatched the proc.
 func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{s: s, name: name}
 	s.procs[p] = struct{}{}
-	if s.coro {
-		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-			p.yieldTo = yield
-			defer func() {
-				p.state = procDone
-				p.done = true
-				delete(s.procs, p)
-				if r := recover(); r != nil {
-					if _, ok := r.(procStopped); !ok {
-						panic(r)
-					}
-				}
-			}()
-			fn(p)
-		})
-	} else {
-		p.resume = make(chan struct{})
-		go func() {
-			<-p.resume // wait for first dispatch
-			if s.stopped {
-				// Shut down before ever running: exit without user code.
-				p.state = procDone
-				p.done = true
-				delete(s.procs, p)
-				s.yield <- struct{}{}
-				return
-			}
-			fn(p)
-			p.state = procDone
-			p.done = true
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			// Drop the coroutine's handles so a finished proc does not
+			// pin them for as long as its world stays reachable.
+			p.done, p.next, p.stop, p.yield = true, nil, nil, nil
 			delete(s.procs, p)
-			s.yield <- struct{}{}
+			if r := recover(); r != nil {
+				if _, ok := r.(procStopped); !ok {
+					panic(r)
+				}
+			}
 		}()
-	}
+		fn(p)
+	})
 	s.atProc(s.now, p)
 	return p
 }
 
-// dispatch hands the execution token to p and blocks until p parks or
+// dispatch hands the execution token to p and returns once p parks or
 // finishes. Must be called from scheduler context.
 func (s *Scheduler) dispatch(p *Proc) {
 	if p.done {
@@ -307,40 +270,18 @@ func (s *Scheduler) dispatch(p *Proc) {
 	}
 	prev := s.current
 	s.current = p
-	p.state = procRunning
-	if s.coro {
-		p.next()
-	} else {
-		p.resume <- struct{}{}
-		<-s.yield
-	}
+	p.next()
 	s.current = prev
 }
 
 // park gives the execution token back to the scheduler and blocks until the
-// proc is dispatched again. Must be called from p's goroutine. If the
-// scheduler has been shut down in the meantime, the goroutine exits here
-// instead of resuming user code.
+// proc is dispatched again. Must be called from p's own body. If Shutdown
+// stopped the proc in the meantime, park unwinds it instead of resuming
+// user code.
 func (p *Proc) park() {
-	p.state = procParked
-	s := p.s
-	if s.coro {
-		if !p.yieldTo(struct{}{}) {
-			// Shutdown stopped the coroutine: unwind without user code.
-			panic(procStopped{})
-		}
-	} else {
-		s.yield <- struct{}{}
-		<-p.resume
-		if s.stopped {
-			p.state = procDone
-			p.done = true
-			delete(s.procs, p)
-			s.yield <- struct{}{}
-			runtime.Goexit()
-		}
+	if !p.yield(struct{}{}) {
+		panic(procStopped{})
 	}
-	p.state = procRunning
 }
 
 // Advance consumes d of virtual time: the proc parks and is woken once the
@@ -562,34 +503,21 @@ func (s *Scheduler) Run() (Time, error) {
 // Events reports how many events have executed.
 func (s *Scheduler) Events() uint64 { return s.nEvents }
 
-// Shutdown terminates every parked proc goroutine (they exit inside park
-// without running further user code; procs spawned but never dispatched
-// exit without running any user code at all). Call after Run returns an
-// error (deadlock, limit) to avoid leaking goroutines; a clean Run has
-// nothing left to stop. Shutdown is linear in the number of procs: the
-// survivors are collected once, then each is woken exactly once — procs
-// remove themselves from the table as they exit.
+// Shutdown terminates every parked proc: each unwinds from inside park, so
+// only its deferred calls run, and procs spawned but never dispatched never
+// run at all. Call after Run returns an error (deadlock, limit) to avoid
+// leaking coroutines; a clean Run has nothing left to stop. Shutdown is
+// linear in the number of procs.
 func (s *Scheduler) Shutdown() {
-	s.stopped = true
 	ps := make([]*Proc, 0, len(s.procs))
 	for p := range s.procs {
 		ps = append(ps, p)
 	}
 	for _, p := range ps {
-		if p.done {
-			continue
-		}
-		if s.coro {
-			// stop resumes the suspended coroutine with yield -> false;
-			// park unwinds it without user code. A proc that was never
-			// dispatched never runs at all.
-			p.stop()
-			p.done = true
-			p.state = procDone
-			delete(s.procs, p)
-		} else {
-			p.resume <- struct{}{}
-			<-s.yield
-		}
+		// stop resumes a suspended proc with yield -> false, and park
+		// unwinds it; a proc that was never dispatched is just discarded.
+		p.stop()
+		p.done = true
+		delete(s.procs, p)
 	}
 }

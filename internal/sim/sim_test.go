@@ -419,25 +419,81 @@ func TestTimeMicroseconds(t *testing.T) {
 	}
 }
 
+// Shutdown reaps a mix of parked procs and procs that were never
+// dispatched (the run hit its event limit first) without leaking their
+// coroutines and without running user code: parked bodies never resume
+// past their park, never-dispatched bodies never start.
 func TestShutdownReleasesParkedProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		s := NewScheduler(1)
 		c := NewCond(s)
+		started, resumed := 0, 0
 		for j := 0; j < 10; j++ {
-			s.Spawn(fmt.Sprintf("stuck%d", j), func(p *Proc) { c.Wait(p) })
+			s.Spawn(fmt.Sprintf("stuck%d", j), func(p *Proc) {
+				started++
+				c.Wait(p)
+				resumed++
+			})
 		}
+		s.MaxEvents = 5 // the limit trips after the sixth dispatch
 		if _, err := s.Run(); err == nil {
-			t.Fatal("expected deadlock")
+			t.Fatal("expected limit error")
 		}
 		s.Shutdown()
+		if started != 6 || resumed != 0 {
+			t.Fatalf("after Shutdown: %d bodies started (want 6), %d resumed past Wait (want 0)", started, resumed)
+		}
+		if len(s.procs) != 0 {
+			t.Fatalf("%d procs left in the table after Shutdown", len(s.procs))
+		}
+		// The never-dispatched procs' wakeups are still queued; they must
+		// be no-ops now.
+		for s.Step() {
+		}
+		if started != 6 || resumed != 0 {
+			t.Fatalf("stepping after Shutdown ran user code: %d started, %d resumed", started, resumed)
+		}
 	}
-	// Give exited goroutines a moment to be reaped.
+	// Give exited coroutines a moment to be reaped.
 	for i := 0; i < 100 && runtime.NumGoroutine() > before+5; i++ {
 		runtime.Gosched()
 	}
 	if g := runtime.NumGoroutine(); g > before+5 {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+	}
+}
+
+// A panic in a proc body surfaces from the Run that dispatched it, with
+// its original value — whether the body panics on its first dispatch or
+// after parking.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	type boom struct{ n int }
+	for _, parkFirst := range []bool{false, true} {
+		s := NewScheduler(1)
+		s.Spawn("bystander", func(p *Proc) { p.Advance(100) })
+		s.Spawn("bad", func(p *Proc) {
+			if parkFirst {
+				p.Advance(10)
+			}
+			panic(boom{42})
+		})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			s.Run()
+			return nil
+		}()
+		if b, ok := got.(boom); !ok || b.n != 42 {
+			t.Fatalf("parkFirst=%v: Run panicked with %#v, want boom{42}", parkFirst, got)
+		}
+		want := Time(0)
+		if parkFirst {
+			want = 10
+		}
+		if s.Now() != want {
+			t.Fatalf("parkFirst=%v: panic surfaced at %v, want %v", parkFirst, s.Now(), want)
+		}
+		s.Shutdown() // reaps the bystander
 	}
 }
 

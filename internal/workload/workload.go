@@ -14,8 +14,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -197,12 +199,8 @@ func Run(w *mpi.World, cfg Config) (*Result, error) {
 	for _, e := range envs {
 		tr.Events = append(tr.Events, e.evs...)
 	}
-	sort.SliceStable(tr.Events, func(i, j int) bool {
-		a, b := tr.Events[i], tr.Events[j]
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		return a.Rank < b.Rank
+	slices.SortStableFunc(tr.Events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Rank, b.Rank))
 	})
 	return &Result{Trace: tr, Report: rep, Summary: Summarize(tr, rep.MaxRankElapsed)}, nil
 }

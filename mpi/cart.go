@@ -68,16 +68,31 @@ func (t *Cart) RankOf(coords []int) int {
 }
 
 // Shift reports the (source, dest) ranks displaced along dim
-// (MPI_Cart_shift); -1 plays the role of MPI_PROC_NULL.
+// (MPI_Cart_shift); -1 plays the role of MPI_PROC_NULL. It works on the
+// rank directly — the coordinate along dim scaled by its row-major stride —
+// so halo exchanges that shift every step allocate nothing.
 func (t *Cart) Shift(dim, disp int) (src, dst int) {
-	coords := t.Coords(t.rank)
-	up := make([]int, len(coords))
-	down := make([]int, len(coords))
-	copy(up, coords)
-	copy(down, coords)
-	up[dim] += disp
-	down[dim] -= disp
-	return t.RankOf(down), t.RankOf(up)
+	stride := 1
+	for _, d := range t.Dims[dim+1:] {
+		stride *= d
+	}
+	c := t.rank / stride % t.Dims[dim]
+	return t.displaced(dim, c, -disp, stride), t.displaced(dim, c, disp, stride)
+}
+
+// displaced reports the rank whose coordinate along dim is c+disp, with the
+// other coordinates this rank's; -1 off the edge of a non-periodic
+// dimension.
+func (t *Cart) displaced(dim, c, disp, stride int) int {
+	d := t.Dims[dim]
+	to := c + disp
+	if to < 0 || to >= d {
+		if !t.Periodic[dim] {
+			return -1
+		}
+		to = ((to % d) + d) % d
+	}
+	return t.rank + (to-c)*stride
 }
 
 // Dims2 suggests a balanced 2-factor decomposition of n (MPI_Dims_create

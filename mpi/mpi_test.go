@@ -492,6 +492,53 @@ func TestCart2D(t *testing.T) {
 	})
 }
 
+// Shift computes the displaced ranks arithmetically; it must agree with
+// the coordinate round trip (Coords, displace, RankOf) on periodic,
+// non-periodic and mixed grids, for displacements past the grid edge,
+// and without allocating.
+func TestCartShiftMatchesCoords(t *testing.T) {
+	viaCoords := func(c *Cart, dim, disp int) (int, int) {
+		up, down := c.Coords(c.rank), c.Coords(c.rank)
+		up[dim] += disp
+		down[dim] -= disp
+		return c.RankOf(down), c.RankOf(up)
+	}
+	grids := []struct {
+		dims     []int
+		periodic []bool
+	}{
+		{[]int{7}, []bool{true}},
+		{[]int{7}, []bool{false}},
+		{[]int{4, 6}, []bool{false, true}},
+		{[]int{4, 6}, []bool{true, false}},
+		{[]int{3, 1, 5}, []bool{true, true, true}},
+		{[]int{3, 2, 5}, []bool{false, false, false}},
+	}
+	for _, g := range grids {
+		n := 1
+		for _, d := range g.dims {
+			n *= d
+		}
+		for rank := 0; rank < n; rank++ {
+			cart := &Cart{Comm: &Comm{rank: rank}, Dims: g.dims, Periodic: g.periodic}
+			for dim := range g.dims {
+				for disp := -9; disp <= 9; disp++ {
+					src, dst := cart.Shift(dim, disp)
+					wsrc, wdst := viaCoords(cart, dim, disp)
+					if src != wsrc || dst != wdst {
+						t.Fatalf("dims %v periodic %v rank %d: Shift(%d, %d) = (%d, %d), want (%d, %d)",
+							g.dims, g.periodic, rank, dim, disp, src, dst, wsrc, wdst)
+					}
+				}
+			}
+		}
+	}
+	cart := &Cart{Comm: &Comm{rank: 5}, Dims: []int{4, 6}, Periodic: []bool{true, false}}
+	if a := testing.AllocsPerRun(100, func() { cart.Shift(1, 1) }); a != 0 {
+		t.Fatalf("Shift allocated %v times per call", a)
+	}
+}
+
 func TestDims2(t *testing.T) {
 	for _, tc := range []struct{ n, a, b int }{{1, 1, 1}, {6, 2, 3}, {12, 3, 4}, {7, 1, 7}, {16, 4, 4}} {
 		a, b := Dims2(tc.n)

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/bits"
+
 	"repro/internal/atm"
 	"repro/internal/core"
 	"repro/internal/flow"
@@ -39,7 +41,8 @@ type transport struct {
 	pool *core.BufPool
 
 	inbox []*core.Packet
-	rr    int // round-robin parse start
+	rr    int      // round-robin parse start
+	ready readySet // TCP peers that may hold unread bytes
 
 	// Credit flow control (sender side): bytes we may still push toward
 	// each destination's reserved memory, with queued sends held in issue
@@ -119,6 +122,7 @@ func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit i
 		net:        net,
 		peers:      peers,
 		conns:      make([]*atm.TCP, size),
+		ready:      make(readySet, (size+63)/64),
 		creditCap:  credit,
 		creditCond: sim.NewCond(cl.SchedOf(rank)),
 		// A quarter of the reservation owed triggers an explicit credit
@@ -145,7 +149,10 @@ func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit i
 
 func (t *transport) attachConn(peer int, c *atm.TCP) {
 	t.conns[peer] = c
-	c.OnReadable(func() { t.wake() })
+	c.OnReadable(func() {
+		t.ready.set(peer)
+		t.wake()
+	})
 	// Window updates must reach a writer parked in interleave (its yield
 	// waits on the transport-wide creditCond, since the wakeup it needs may
 	// arrive on any connection, not just the one it is writing).
@@ -558,15 +565,13 @@ func (t *transport) Pending() bool {
 		return true
 	}
 	if t.kind == TCP {
-		for _, c := range t.conns {
-			if c != nil && c.Readable() {
-				return true
-			}
-		}
-		return false
+		return t.ready.sweep(0, t.size, t.readable, func(int) bool { return true })
 	}
 	return t.dgram.Readable()
 }
+
+// readable reports whether peer j's connection holds unread bytes.
+func (t *transport) readable(j int) bool { return t.conns[j].Readable() }
 
 // parseAvailable consumes every complete message currently readable,
 // reporting whether anything was processed.
@@ -578,21 +583,62 @@ func (t *transport) parseAvailable(p *sim.Proc) bool {
 		}
 		return any
 	}
-	progress := true
-	for progress {
+	// Passes visit the readable connections round-robin from rr, repeating
+	// until one finds nothing. Each parse advances virtual time, so which
+	// connection is read when is part of the model: the walk must see
+	// exactly what a scan of every connection would.
+	for progress := true; progress; t.rr = (t.rr + 1) % t.size {
 		progress = false
-		for i := 0; i < t.size; i++ {
-			j := (t.rr + i) % t.size
-			conn := t.conns[j]
-			if conn == nil || !conn.Readable() {
-				continue
-			}
-			t.parseTCP(p, j, conn)
+		t.ready.sweep(t.rr, t.size, t.readable, func(j int) bool {
+			t.parseTCP(p, j, t.conns[j])
 			progress, any = true, true
-		}
-		t.rr = (t.rr + 1) % t.size
+			return false
+		})
 	}
 	return any
+}
+
+// readySet is a bitset over peer ranks: a bit is set whenever bytes arrive
+// on that peer's connection and cleared lazily, when a sweep finds the
+// connection drained. Arrivals are the only way a connection turns
+// readable, so every readable connection's bit is set, and a poll costs
+// O(readable connections) instead of O(P).
+type readySet []uint64
+
+func (r readySet) set(i int)   { r[i>>6] |= 1 << (i & 63) }
+func (r readySet) clear(i int) { r[i>>6] &^= 1 << (i & 63) }
+
+// next returns the lowest set bit in [i, end), or -1.
+func (r readySet) next(i, end int) int {
+	for i < end {
+		if w := r[i>>6] >> (i & 63); w != 0 {
+			if j := i + bits.TrailingZeros64(w); j < end {
+				return j
+			}
+			return -1
+		}
+		i = (i | 63) + 1
+	}
+	return -1
+}
+
+// sweep walks the set bits of an n-bit set in rotated order — start,
+// start+1, …, n-1, 0, …, start-1 — looking each one up when the cursor
+// reaches it, so a bit set mid-walk ahead of the cursor is visited and one
+// behind it waits for the next sweep. A visited bit whose ready check
+// fails is cleared and skipped; otherwise visit runs, and sweep stops early
+// if visit returns true. sweep reports whether it stopped early.
+func (r readySet) sweep(start, n int, ready func(int) bool, visit func(int) bool) bool {
+	for _, seg := range [2][2]int{{start, n}, {0, start}} {
+		for j := r.next(seg[0], seg[1]); j >= 0; j = r.next(j+1, seg[1]) {
+			if !ready(j) {
+				r.clear(j)
+			} else if visit(j) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // parseTCP consumes one message from conn, performing the paper's two
