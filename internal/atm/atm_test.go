@@ -69,8 +69,8 @@ func TestEthernetSharedMediumContention(t *testing.T) {
 	var done []sim.Time
 	s.At(0, func() {
 		// Two disjoint host pairs still contend on the shared wire.
-		cl.Eth.Deliver(0, 1, 1000, DeliverOpts{}, func() { done = append(done, s.Now()) })
-		cl.Eth.Deliver(2, 3, 1000, DeliverOpts{}, func() { done = append(done, s.Now()) })
+		cl.Eth.Deliver(0, 1, 1000, DeliverOpts{}, sim.Func(func() { done = append(done, s.Now()) }))
+		cl.Eth.Deliver(2, 3, 1000, DeliverOpts{}, sim.Func(func() { done = append(done, s.Now()) }))
 	})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -89,8 +89,8 @@ func TestATMDisjointPairsParallel(t *testing.T) {
 	s, cl := newCluster(4)
 	var done []sim.Time
 	s.At(0, func() {
-		cl.Atm.Deliver(0, 1, 8000, DeliverOpts{}, func() { done = append(done, s.Now()) })
-		cl.Atm.Deliver(2, 3, 8000, DeliverOpts{}, func() { done = append(done, s.Now()) })
+		cl.Atm.Deliver(0, 1, 8000, DeliverOpts{}, sim.Func(func() { done = append(done, s.Now()) }))
+		cl.Atm.Deliver(2, 3, 8000, DeliverOpts{}, sim.Func(func() { done = append(done, s.Now()) }))
 	})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestLossInjectionDeterministic(t *testing.T) {
 		delivered := 0
 		s.At(0, func() {
 			for i := 0; i < 100; i++ {
-				cl.Medium(OverEthernet).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, func() { delivered++ })
+				cl.Medium(OverEthernet).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, sim.Func(func() { delivered++ }))
 			}
 		})
 		s.Run()
@@ -128,7 +128,7 @@ func TestNonDroppableNeverLost(t *testing.T) {
 	delivered := 0
 	s.At(0, func() {
 		for i := 0; i < 10; i++ {
-			cl.Medium(OverEthernet).Deliver(0, 1, 100, DeliverOpts{}, func() { delivered++ })
+			cl.Medium(OverEthernet).Deliver(0, 1, 100, DeliverOpts{}, sim.Func(func() { delivered++ }))
 		}
 	})
 	s.Run()
@@ -559,11 +559,11 @@ func TestCSMACDAddsContentionCost(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				src := i % 4
 				dst := (i + 1) % 4
-				cl.Eth.Deliver(src, dst, 1000, DeliverOpts{}, func() {
+				cl.Eth.Deliver(src, dst, 1000, DeliverOpts{}, sim.Func(func() {
 					if s.Now() > last {
 						last = s.Now()
 					}
-				})
+				}))
 			}
 		})
 		if _, err := s.Run(); err != nil {
@@ -590,7 +590,7 @@ func TestCSMACDUncontendedUnchanged(t *testing.T) {
 		cl.Eth.CSMACD = csmacd
 		var done sim.Time
 		s.At(0, func() {
-			cl.Eth.Deliver(0, 1, 500, DeliverOpts{}, func() { done = s.Now() })
+			cl.Eth.Deliver(0, 1, 500, DeliverOpts{}, sim.Func(func() { done = s.Now() }))
 		})
 		s.Run()
 		return done
@@ -607,7 +607,7 @@ func TestCSMACDDeterministic(t *testing.T) {
 		var last sim.Time
 		s.At(0, func() {
 			for i := 0; i < 9; i++ {
-				cl.Eth.Deliver(i%3, (i+1)%3, 800, DeliverOpts{}, func() { last = s.Now() })
+				cl.Eth.Deliver(i%3, (i+1)%3, 800, DeliverOpts{}, sim.Func(func() { last = s.Now() }))
 			}
 		})
 		s.Run()

@@ -30,6 +30,8 @@ type Cluster struct {
 	scheds []*sim.Scheduler // per-host lane scheduler; nil when unsharded
 	laneOf []int
 
+	segFree *sim.Freelist[tcpSeg] // TCP frames in flight, per lane
+
 	udpPorts map[MediumKind]map[int]*UDP // medium -> host -> bound socket
 	aal4     map[int]*AAL4               // host -> Fore API socket
 	unet     map[int]*UNet               // host -> user-level endpoint
@@ -38,11 +40,12 @@ type Cluster struct {
 // NewCluster builds an n-host cluster on scheduler s.
 func NewCluster(s *sim.Scheduler, n int, c Costs) *Cluster {
 	cl := &Cluster{
-		S:     s,
-		Costs: c,
-		N:     n,
-		Eth:   NewEthernet(s, c),
-		Atm:   NewATMNet(s, n, c),
+		S:       s,
+		Costs:   c,
+		N:       n,
+		Eth:     NewEthernet(s, c),
+		Atm:     NewATMNet(s, n, c),
+		segFree: sim.NewFreelist[tcpSeg](s),
 		udpPorts: map[MediumKind]map[int]*UDP{
 			OverEthernet: {},
 			OverATM:      {},
@@ -59,12 +62,13 @@ func NewCluster(s *sim.Scheduler, n int, c Costs) *Cluster {
 func NewShardedCluster(sh *sim.Shard, laneOf []int, c Costs) *Cluster {
 	n := len(laneOf)
 	cl := &Cluster{
-		S:      sh.Lane(0),
-		Costs:  c,
-		N:      n,
-		Eth:    NewShardedEthernet(sh, laneOf, c),
-		Atm:    NewShardedATMNet(sh, laneOf, c),
-		laneOf: laneOf,
+		S:       sh.Lane(0),
+		Costs:   c,
+		N:       n,
+		Eth:     NewShardedEthernet(sh, laneOf, c),
+		Atm:     NewShardedATMNet(sh, laneOf, c),
+		laneOf:  laneOf,
+		segFree: sim.NewFreelist[tcpSeg](sh.Lane(0)),
 		udpPorts: map[MediumKind]map[int]*UDP{
 			OverEthernet: {},
 			OverATM:      {},

@@ -307,7 +307,7 @@ func (in *Injector) plan(src, dst int, droppable bool) (drop bool, extras []sim.
 // Deliver implements Medium: the frame passes through the policy, then (if
 // it survives) enters the wrapped medium after any added delay. A dropped
 // frame never reaches the wire — it is cut at the sending port.
-func (in *Injector) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool {
+func (in *Injector) Deliver(src, dst, n int, opts DeliverOpts, deliver sim.Handler) bool {
 	if in.policy == nil {
 		return in.inner.Deliver(src, dst, n, opts, deliver)
 	}

@@ -18,7 +18,7 @@ func TestFaultsDropEveryNExactCount(t *testing.T) {
 	delivered := 0
 	s.At(0, func() {
 		for i := 0; i < 30; i++ {
-			cl.Medium(OverEthernet).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, func() { delivered++ })
+			cl.Medium(OverEthernet).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, sim.Func(func() { delivered++ }))
 		}
 	})
 	if _, err := s.Run(); err != nil {
@@ -42,7 +42,7 @@ func TestFaultsDelayShiftsArrivalExactly(t *testing.T) {
 		}
 		var at sim.Time
 		s.At(0, func() {
-			cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, func() { at = s.Now() })
+			cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, sim.Func(func() { at = s.Now() }))
 		})
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestFaultsJitterBoundedAndDeterministic(t *testing.T) {
 		// Space frames far apart so queuing never adds to the arrival time.
 		for i := 0; i < 10; i++ {
 			s.At(sim.Time(i)*sim.Time(10*time.Millisecond), func() {
-				cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, func() { at = append(at, s.Now()) })
+				cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, sim.Func(func() { at = append(at, s.Now()) }))
 			})
 		}
 		if _, err := s.Run(); err != nil {
@@ -109,7 +109,7 @@ func TestFaultsReorderOvertakesOnFIFOWire(t *testing.T) {
 		s.At(0, func() {
 			for i := 0; i < 8; i++ {
 				i := i
-				cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, func() { order = append(order, i) })
+				cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, sim.Func(func() { order = append(order, i) }))
 			}
 		})
 		if _, err := s.Run(); err != nil {
@@ -147,7 +147,7 @@ func TestFaultsDuplicateDeliversTwice(t *testing.T) {
 	delivered := 0
 	s.At(0, func() {
 		for i := 0; i < 10; i++ {
-			cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, func() { delivered++ })
+			cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, sim.Func(func() { delivered++ }))
 		}
 	})
 	if _, err := s.Run(); err != nil {
@@ -173,7 +173,7 @@ func TestFaultsPartitionWindow(t *testing.T) {
 	send := func(id int, at time.Duration) {
 		s.At(sim.Time(at), func() {
 			// Partitions sever everything, droppable or not.
-			cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{}, func() { got = append(got, id) })
+			cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{}, sim.Func(func() { got = append(got, id) }))
 		})
 	}
 	send(0, 0)                   // before the cut: delivered
@@ -198,9 +198,9 @@ func TestFaultsWildcardPartitionIsolatesHost(t *testing.T) {
 	}
 	var got []string
 	s.At(0, func() {
-		cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{}, func() { got = append(got, "0->1") })
-		cl.Medium(OverATM).Deliver(2, 0, 100, DeliverOpts{}, func() { got = append(got, "2->0") })
-		cl.Medium(OverATM).Deliver(1, 2, 100, DeliverOpts{}, func() { got = append(got, "1->2") })
+		cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{}, sim.Func(func() { got = append(got, "0->1") }))
+		cl.Medium(OverATM).Deliver(2, 0, 100, DeliverOpts{}, sim.Func(func() { got = append(got, "2->0") }))
+		cl.Medium(OverATM).Deliver(1, 2, 100, DeliverOpts{}, sim.Func(func() { got = append(got, "1->2") }))
 	})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -230,9 +230,9 @@ func TestFaultsCompositePolicyDeterministic(t *testing.T) {
 		s.At(0, func() {
 			for i := 0; i < 50; i++ {
 				i := i
-				cl.Medium(OverEthernet).Deliver(0, 1, 200, DeliverOpts{Droppable: true}, func() {
+				cl.Medium(OverEthernet).Deliver(0, 1, 200, DeliverOpts{Droppable: true}, sim.Func(func() {
 					got = append(got, arrival{i, s.Now()})
-				})
+				}))
 			}
 		})
 		if _, err := s.Run(); err != nil {

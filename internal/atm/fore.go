@@ -51,12 +51,12 @@ func (a *AAL4) SendTo(p *sim.Proc, dst int, data []byte) {
 	payload := make([]byte, len(data))
 	copy(payload, data)
 	src := a.host
-	a.cl.Medium(OverATM).Deliver(a.host, dst, len(data), DeliverOpts{AAL34: true, Droppable: true}, func() {
+	a.cl.Medium(OverATM).Deliver(a.host, dst, len(data), DeliverOpts{AAL34: true, Droppable: true}, sim.Func(func() {
 		a.cl.SchedOf(dst).After(k.AAL4PerPacket, func() {
 			peer.dq = append(peer.dq, Datagram{Src: src, Data: payload})
 			peer.readable.Broadcast()
 		})
-	})
+	}))
 }
 
 // RecvFrom blocks for the next PDU.

@@ -1,8 +1,9 @@
 package atm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -34,10 +35,13 @@ type DeliverOpts struct {
 type Medium interface {
 	Kind() MediumKind
 	MTU() int
-	// Deliver carries n payload bytes from src to dst and runs deliver at
+	// Deliver carries n payload bytes from src to dst and fires deliver at
 	// the destination after wire, NIC, and driver time. Returns false if
-	// the packet was dropped by loss injection (deliver will not run).
-	Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool
+	// the packet was dropped by loss injection (deliver will not fire).
+	// deliver fires at most once unless opts.Droppable lets the fault layer
+	// duplicate the frame, so non-droppable traffic may pass a pooled
+	// record that retires itself when it fires.
+	Deliver(src, dst, n int, opts DeliverOpts, deliver sim.Handler) bool
 }
 
 // Ethernet is the 10 Mbit/s shared medium: every frame from every host
@@ -59,6 +63,7 @@ type Ethernet struct {
 
 	scheds []*sim.Scheduler // per-host lane scheduler; nil when unsharded
 	laneOf []int
+	free   *sim.Freelist[ethFrame]
 
 	// CSMACD enables collision modeling: a station finding the medium
 	// busy pays a random exponential backoff (in slot times) scaled by the
@@ -76,7 +81,7 @@ type Ethernet struct {
 
 // NewEthernet builds the shared segment.
 func NewEthernet(s *sim.Scheduler, c Costs) *Ethernet {
-	return &Ethernet{s: s, c: c, stage: sim.NewStage(s), wire: sim.NewFIFO(s, "ether")}
+	return &Ethernet{s: s, c: c, stage: sim.NewStage(s), wire: sim.NewFIFO(s, "ether"), free: sim.NewFreelist[ethFrame](s)}
 }
 
 // NewShardedEthernet builds the shared segment homed on lane 0 of sh, with
@@ -91,7 +96,7 @@ func NewShardedEthernet(sh *sim.Shard, laneOf []int, c Costs) *Ethernet {
 		panic(fmt.Sprintf("ethernet: frame span %v / delivery tail %v below shard lookahead %v", minSpan, post, sh.Lookahead()))
 	}
 	home := sh.Lane(0)
-	e := &Ethernet{s: home, c: c, stage: sim.NewStage(home), wire: sim.NewFIFO(home, "ether"), laneOf: laneOf}
+	e := &Ethernet{s: home, c: c, stage: sim.NewStage(home), wire: sim.NewFIFO(home, "ether"), laneOf: laneOf, free: sim.NewFreelist[ethFrame](home)}
 	for _, l := range laneOf {
 		e.scheds = append(e.scheds, sh.Lane(l))
 	}
@@ -128,13 +133,37 @@ func FrameWireBytes(n int) int {
 
 // Deliver implements Medium. Must be called from src's lane context on a
 // sharded segment; deliver runs on dst's lane.
-func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool {
+func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver sim.Handler) bool {
 	if n > EthMTU {
 		panic(fmt.Sprintf("ethernet: frame payload %d exceeds MTU", n))
 	}
-	wire := sim.Duration(FrameWireBytes(n)) * e.c.EthPerByte
-	e.stage.Request(e.schedOf(src), func(t0 sim.Time) {
-		if e.CSMACD && e.wire.BusyUntil() > t0 {
+	ss := e.schedOf(src)
+	f := e.free.Get(ss)
+	*f = ethFrame{e: e, dst: dst, wire: sim.Duration(FrameWireBytes(n)) * e.c.EthPerByte, t0: ss.Now(), deliver: deliver}
+	e.stage.RequestH(ss, f)
+	return true
+}
+
+// ethFrame is one frame crossing the shared segment: a pooled record that
+// is first the stage's processing body (reserve the wire, backdated to the
+// stamp t0), then the home-lane wire-completion event, and last the
+// delivery event on the destination's lane, where it is retired.
+type ethFrame struct {
+	e       *Ethernet
+	dst     int
+	wire    sim.Duration
+	t0      sim.Time
+	end     sim.Time // wire completion, once reserved
+	step    uint8    // 0: at the stage; 1: on the wire; 2: delivered
+	deliver sim.Handler
+}
+
+// Fire implements sim.Handler.
+func (f *ethFrame) Fire() {
+	e := f.e
+	switch f.step {
+	case 0:
+		if e.CSMACD && e.wire.BusyUntil() > f.t0 {
 			// Contended medium: model collisions + truncated binary
 			// exponential backoff. The backoff window doubles with the number
 			// of frames already fighting for the wire.
@@ -144,17 +173,22 @@ func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bo
 				slot = 51200 // 51.2 µs: 512 bit times at 10 Mbit/s
 			}
 			window := 2 << min(e.queued, 9)
-			backoff := sim.Duration(e.s.Rand().Intn(window)) * slot
-			wire += backoff
+			f.wire += sim.Duration(e.s.Rand().Intn(window)) * slot
 		}
 		e.queued++
-		end := e.wire.ReserveAt(t0, wire)
-		e.stage.At(end, func() {
-			e.queued--
-			e.stage.Exit(e.lane(dst), end+sim.Time(e.c.EthPropDelay+e.c.DriverEthPerFrame), deliver)
-		})
-	})
-	return true
+		f.end = e.wire.ReserveAt(f.t0, f.wire)
+		f.step = 1
+		e.stage.At(f.end, f)
+	case 1:
+		e.queued--
+		f.step = 2
+		e.stage.Exit(e.lane(f.dst), f.end+sim.Time(e.c.EthPropDelay+e.c.DriverEthPerFrame), f)
+	default:
+		deliver, ds := f.deliver, e.schedOf(f.dst)
+		*f = ethFrame{}
+		e.free.Put(ds, f)
+		deliver.Fire()
+	}
 }
 
 // ATMNet is the switched ATM fabric: a dedicated 155 Mbit/s full-duplex
@@ -178,15 +212,16 @@ type ATMNet struct {
 
 	scheds []*sim.Scheduler // per-host lane scheduler; nil when unsharded
 	laneOf []int
+	free   *sim.Freelist[atmPkt]
 }
 
 // NewATMNet builds the switch with n host ports.
 func NewATMNet(s *sim.Scheduler, n int, c Costs) *ATMNet {
-	a := &ATMNet{s: s, c: c}
+	a := &ATMNet{s: s, c: c, free: sim.NewFreelist[atmPkt](s)}
 	for i := 0; i < n; i++ {
 		a.up = append(a.up, sim.NewFIFO(s, fmt.Sprintf("atm-up%d", i)))
 		a.down = append(a.down, sim.NewFIFO(s, fmt.Sprintf("atm-down%d", i)))
-		a.ports = append(a.ports, &portArbiter{})
+		a.ports = append(a.ports, &portArbiter{a: a, dst: i})
 	}
 	return a
 }
@@ -198,13 +233,13 @@ func NewShardedATMNet(sh *sim.Shard, laneOf []int, c Costs) *ATMNet {
 	if c.SwitchDelay < sh.Lookahead() {
 		panic(fmt.Sprintf("atm: switch delay %v below shard lookahead %v", c.SwitchDelay, sh.Lookahead()))
 	}
-	a := &ATMNet{s: sh.Lane(0), c: c, laneOf: laneOf}
+	a := &ATMNet{s: sh.Lane(0), c: c, laneOf: laneOf, free: sim.NewFreelist[atmPkt](sh.Lane(0))}
 	for i, l := range laneOf {
 		ls := sh.Lane(l)
 		a.scheds = append(a.scheds, ls)
 		a.up = append(a.up, sim.NewFIFO(ls, fmt.Sprintf("atm-up%d", i)))
 		a.down = append(a.down, sim.NewFIFO(ls, fmt.Sprintf("atm-down%d", i)))
-		a.ports = append(a.ports, &portArbiter{})
+		a.ports = append(a.ports, &portArbiter{a: a, dst: i})
 	}
 	return a
 }
@@ -222,16 +257,21 @@ func NewShardedATMNet(sh *sim.Shard, laneOf []int, c Costs) *ATMNet {
 // reservations are backdated to their stamps (FIFO.ReserveAt), so untied
 // traffic keeps bit-identical timing and tied packets get one canonical
 // winner on both kernels.
+//
+// The arbiter is its own flush event, so arming it allocates nothing.
 type portArbiter struct {
+	a       *ATMNet
+	dst     int
 	pending []portReq
-	flushAt sim.Time // scheduled flush; zero when none pending
+	batch   []portReq // flush scratch, reused
+	flushAt sim.Time  // scheduled flush; zero when none pending
 }
 
 type portReq struct {
 	stamp   sim.Time
 	src     int
 	wire    sim.Duration
-	deliver func()
+	deliver sim.Handler
 }
 
 // portArbDelay is the arbitration window. It must stay below the minimum
@@ -240,49 +280,52 @@ type portReq struct {
 const portArbDelay sim.Duration = 100 // ns
 
 // enqueue registers an arrival at dst's switch output. Runs on dst's lane.
-func (a *ATMNet) enqueue(dst, src int, wire sim.Duration, deliver func()) {
+func (a *ATMNet) enqueue(dst, src int, wire sim.Duration, deliver sim.Handler) {
 	s := a.schedOf(dst)
 	q := a.ports[dst]
 	q.pending = append(q.pending, portReq{stamp: s.Now(), src: src, wire: wire, deliver: deliver})
 	if q.flushAt == 0 {
 		q.flushAt = s.Now() + sim.Time(portArbDelay)
-		s.At(q.flushAt, func() { a.flush(dst) })
+		s.AtH(q.flushAt, q)
 	}
 }
 
-// flush reserves the downlink for every arrival stamped strictly before
-// now, in (stamp, src) order. Arrivals stamped exactly at the flush
-// instant wait for the next window — they may land in the pending list
-// before or after this event depending on kernel tie-breaking, so deciding
-// them here would reintroduce the ambiguity the arbiter removes.
-func (a *ATMNet) flush(dst int) {
-	s := a.schedOf(dst)
+// Fire implements sim.Handler: the arbitration window closed, so reserve
+// the downlink for every arrival stamped strictly before now, in (stamp,
+// src) order. Arrivals stamped exactly at the flush instant wait for the
+// next window — they may land in the pending list before or after this
+// event depending on kernel tie-breaking, so deciding them here would
+// reintroduce the ambiguity the arbiter removes.
+func (q *portArbiter) Fire() {
+	a := q.a
+	s := a.schedOf(q.dst)
 	now := s.Now()
-	q := a.ports[dst]
 	q.flushAt = 0
-	batch := q.pending[:0:0]
 	rest := q.pending[:0]
 	for _, r := range q.pending {
 		if r.stamp < now {
-			batch = append(batch, r)
+			q.batch = append(q.batch, r)
 		} else {
 			rest = append(rest, r)
 		}
 	}
+	clear(q.pending[len(rest):])
 	q.pending = rest
-	sort.SliceStable(batch, func(i, j int) bool {
-		if batch[i].stamp != batch[j].stamp {
-			return batch[i].stamp < batch[j].stamp
+	slices.SortStableFunc(q.batch, func(x, y portReq) int {
+		if x.stamp != y.stamp {
+			return cmp.Compare(x.stamp, y.stamp)
 		}
-		return batch[i].src < batch[j].src
+		return cmp.Compare(x.src, y.src)
 	})
-	for _, r := range batch {
-		end := a.down[dst].ReserveAt(r.stamp, r.wire)
-		s.At(end+sim.Time(a.c.I960PerPacket+a.c.DriverATMPerFrame), r.deliver)
+	for _, r := range q.batch {
+		end := a.down[q.dst].ReserveAt(r.stamp, r.wire)
+		s.AtH(end+sim.Time(a.c.I960PerPacket+a.c.DriverATMPerFrame), r.deliver)
 	}
-	if len(q.pending) > 0 && q.flushAt == 0 {
+	clear(q.batch)
+	q.batch = q.batch[:0]
+	if len(q.pending) > 0 {
 		q.flushAt = now + sim.Time(portArbDelay)
-		s.At(q.flushAt, func() { a.flush(dst) })
+		s.AtH(q.flushAt, q)
 	}
 }
 
@@ -308,26 +351,50 @@ func (a *ATMNet) MTU() int { return ATMMTU }
 
 // Deliver implements Medium. Must be called from src's lane context on a
 // sharded fabric.
-func (a *ATMNet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool {
+func (a *ATMNet) Deliver(src, dst, n int, opts DeliverOpts, deliver sim.Handler) bool {
 	wireBytes := AAL5WireBytes(n)
 	if opts.AAL34 {
 		wireBytes = AAL34WireBytes(n)
 	}
-	wire := sim.Duration(wireBytes) * a.c.ATMPerByte
 	ss := a.schedOf(src)
-	// Outbound SAR on the i960, uplink serialization, switch forwarding,
-	// then the destination port arbiter, which reserves the downlink
-	// (backdated to the switch-hop arrival) and schedules inbound SAR plus
-	// the STREAMS driver after the serialization completes. The switch hop
-	// routes to the destination's lane, so the downlink is reserved in
-	// destination context at the same virtual time the single-scheduler
-	// model reserved it.
-	ss.After(a.c.I960PerPacket, func() {
-		a.up[src].UseAsync(wire, func() {
-			ss.RouteAfter(a.lane(dst), a.c.SwitchDelay, func() {
-				a.enqueue(dst, src, wire, deliver)
-			})
-		})
-	})
+	pk := a.free.Get(ss)
+	*pk = atmPkt{a: a, src: src, dst: dst, wire: sim.Duration(wireBytes) * a.c.ATMPerByte, deliver: deliver}
+	ss.AtH(ss.Now()+sim.Time(a.c.I960PerPacket), pk)
 	return true
+}
+
+// atmPkt is one packet crossing the fabric: a pooled record that is its
+// own event at every step. Outbound SAR on the i960, uplink serialization,
+// switch forwarding, then the destination port arbiter, which reserves the
+// downlink (backdated to the switch-hop arrival) and schedules inbound SAR
+// plus the STREAMS driver after the serialization completes. The switch
+// hop routes to the destination's lane, so the downlink is reserved in
+// destination context at the same virtual time the single-scheduler model
+// reserved it. The record is drawn on the source's lane and retired on the
+// destination's.
+type atmPkt struct {
+	a        *ATMNet
+	src, dst int
+	wire     sim.Duration
+	step     uint8 // 0: i960 SAR done; 1: uplink done; 2: at the switch output
+	deliver  sim.Handler
+}
+
+// Fire implements sim.Handler.
+func (pk *atmPkt) Fire() {
+	a := pk.a
+	ss := a.schedOf(pk.src)
+	switch pk.step {
+	case 0:
+		pk.step = 1
+		ss.AtH(a.up[pk.src].UseAsync(pk.wire, nil), pk)
+	case 1:
+		pk.step = 2
+		ss.RouteH(a.lane(pk.dst), ss.Now()+sim.Time(a.c.SwitchDelay), pk)
+	default:
+		dst := pk.dst
+		a.enqueue(dst, pk.src, pk.wire, pk.deliver)
+		*pk = atmPkt{}
+		a.free.Put(a.schedOf(dst), pk)
+	}
 }

@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -23,7 +24,8 @@ type TCP struct {
 	med  Medium
 	peer *TCP
 
-	rq        []byte // kernel receive buffer (delivered, unread)
+	rq        []byte // kernel receive buffer; rq[rqHead:] is delivered, unread
+	rqHead    int
 	readable  *sim.Cond
 	watchers  []func() // arrival callbacks (event context)
 	wwatchers []func() // window-opened callbacks (event context)
@@ -51,6 +53,13 @@ type TCP struct {
 	nagleQ   []byte // coalesced sub-MSS data awaiting an ack
 	owedAck  int    // window bytes not yet returned to the peer
 	ackTimer bool   // delayed-ack timer armed
+
+	// Reassembly. Data segments carry a per-connection sequence number;
+	// delay and jitter faults can reorder them on the wire, so a segment
+	// that overtakes its predecessor is held until the gap fills.
+	sndNext uint64    // sequence number of our next data segment
+	rcvNext uint64    // sequence number the byte stream needs next
+	held    []*tcpSeg // arrived out of order, awaiting rcvNext
 
 	// Stats for tests and instrumentation.
 	SegmentsOut int
@@ -134,21 +143,95 @@ func (c *TCP) writeSegment(p *sim.Proc, seg []byte) {
 	c.sndCredit -= len(seg)
 	c.unacked += len(seg)
 	p.Advance(k.TCPPerSegment)
-	payload := make([]byte, len(seg))
-	copy(payload, seg)
+	c.sendData(seg)
+}
+
+// tcpSeg is one TCP frame in flight: a data segment or a window update. It
+// is a pooled record and its own delivery Handler, drawn on the sender's
+// lane and retired on the receiver's. TCP frames are never droppable, so
+// the fault layer fires each one exactly once.
+type tcpSeg struct {
+	c       *TCP   // sending endpoint
+	seq     uint64 // data: per-connection sequence number
+	payload []byte // data: the segment's bytes; the buffer is reused
+	window  int    // window update: bytes of window returned
+	isAck   bool   // a window update, not data
+	input   bool   // data: the medium delivered it; next Fire is post-input
+}
+
+// sendData transmits one data segment whose window space is already
+// booked. The segment's bytes are copied into the record's own buffer.
+func (c *TCP) sendData(seg []byte) {
+	sg := c.cl.segFree.Get(c.cl.SchedOf(c.host))
+	sg.c, sg.seq = c, c.sndNext
+	sg.payload = append(sg.payload[:0], seg...)
+	c.sndNext++
 	c.SegmentsOut++
-	c.med.Deliver(c.host, c.peer.host, len(seg)+TCPIPHeader, DeliverOpts{}, func() {
+	c.med.Deliver(c.host, c.peer.host, len(seg)+TCPIPHeader, DeliverOpts{}, sg)
+}
+
+// Fire implements sim.Handler. The medium runs it on the receiver's lane.
+func (sg *tcpSeg) Fire() {
+	rc := sg.c.peer // the receiving endpoint
+	switch {
+	case sg.isAck:
+		rc.windowUpdate(sg.window)
+		rc.retire(sg)
+	case !sg.input:
 		// Receiver-side kernel input processing, then the data becomes
-		// readable. The medium ran us on the peer's lane; stay there.
-		c.cl.SchedOf(c.peer.host).After(k.TCPPerSegment, func() {
-			c.peer.rq = append(c.peer.rq, payload...)
-			c.peer.BytesIn += len(payload)
-			c.peer.readable.Broadcast()
-			for _, fn := range c.peer.watchers {
-				fn()
+		// readable.
+		sg.input = true
+		s := rc.cl.SchedOf(rc.host)
+		s.AtH(s.Now()+sim.Time(rc.cl.Costs.TCPPerSegment), sg)
+	default:
+		rc.receive(sg)
+	}
+}
+
+// retire returns a record that arrived at c to c's lane freelist.
+func (c *TCP) retire(sg *tcpSeg) {
+	*sg = tcpSeg{payload: sg.payload[:0]}
+	c.cl.segFree.Put(c.cl.SchedOf(c.host), sg)
+}
+
+// receive files an arrived data segment into the byte stream in sequence
+// order. A segment that overtook a predecessor is held; once the next
+// expected one arrives, it and every held successor become readable.
+func (c *TCP) receive(sg *tcpSeg) {
+	if sg.seq != c.rcvNext {
+		c.held = append(c.held, sg)
+		return
+	}
+	for sg != nil {
+		c.appendRQ(sg.payload)
+		c.BytesIn += len(sg.payload)
+		c.rcvNext++
+		c.retire(sg)
+		sg = nil
+		for i, h := range c.held {
+			if h.seq == c.rcvNext {
+				sg = h
+				c.held = slices.Delete(c.held, i, i+1)
+				break
 			}
-		})
-	})
+		}
+	}
+	c.readable.Broadcast()
+	for _, fn := range c.watchers {
+		fn()
+	}
+}
+
+// appendRQ adds delivered bytes to the receive buffer. A drained buffer
+// restarts at the front of its array; a partly read one slides its unread
+// tail down before it would grow, so the array is reused indefinitely.
+func (c *TCP) appendRQ(b []byte) {
+	if c.rqHead > 0 && len(c.rq)+len(b) > cap(c.rq) {
+		n := copy(c.rq, c.rq[c.rqHead:])
+		c.rq = c.rq[:n]
+		c.rqHead = 0
+	}
+	c.rq = append(c.rq, b...)
 }
 
 // WriteInterleaved is Write for callers that must keep draining their own
@@ -188,14 +271,17 @@ func (c *TCP) WriteInterleaved(p *sim.Proc, data []byte, yield func()) {
 func (c *TCP) Read(p *sim.Proc, buf []byte) int {
 	k := c.cl.Costs
 	p.Advance(k.SyscallRead + c.cl.readExtra(c.med.Kind()))
-	if len(c.rq) == 0 {
-		for len(c.rq) == 0 {
+	if !c.Readable() {
+		for !c.Readable() {
 			c.readable.Wait(p)
 		}
 		p.Advance(k.KernelWakeup)
 	}
-	n := copy(buf, c.rq)
-	c.rq = c.rq[n:]
+	n := copy(buf, c.rq[c.rqHead:])
+	c.rqHead += n
+	if c.rqHead == len(c.rq) {
+		c.rq, c.rqHead = c.rq[:0], 0
+	}
 	p.Advance(sim.Duration(n) * k.CopyPerByte)
 	c.sendWindowUpdate(n)
 	return n
@@ -250,57 +336,47 @@ func (c *TCP) flushOwedAck() {
 // transmitAck carries an n-byte window update (and acknowledgement) to the
 // peer, unblocking its window waiters and releasing Nagle-held data.
 func (c *TCP) transmitAck(n int) {
-	c.med.Deliver(c.host, c.peer.host, TCPIPHeader, DeliverOpts{}, func() {
-		p := c.peer
-		p.sndCredit += n
-		p.unacked -= n
-		if p.unacked < 0 {
-			p.unacked = 0
-		}
-		if p.Nagle && p.unacked == 0 && len(p.nagleQ) > 0 {
-			// The ack releases coalesced data; transmission happens in
-			// kernel context (timer/interrupt), like RUDP retransmits.
-			p.kernelFlushNagle()
-		}
-		p.sndWait.Broadcast()
-		for _, fn := range p.wwatchers {
-			fn()
-		}
-	})
+	sg := c.cl.segFree.Get(c.cl.SchedOf(c.host))
+	sg.c, sg.isAck, sg.window = c, true, n
+	c.med.Deliver(c.host, c.peer.host, TCPIPHeader, DeliverOpts{}, sg)
+}
+
+// windowUpdate applies an arrived n-byte window update at c.
+func (c *TCP) windowUpdate(n int) {
+	c.sndCredit += n
+	c.unacked -= n
+	if c.unacked < 0 {
+		c.unacked = 0
+	}
+	if c.Nagle && c.unacked == 0 && len(c.nagleQ) > 0 {
+		// The ack releases coalesced data; transmission happens in
+		// kernel context (timer/interrupt), like RUDP retransmits.
+		c.kernelFlushNagle()
+	}
+	c.sndWait.Broadcast()
+	for _, fn := range c.wwatchers {
+		fn()
+	}
 }
 
 // kernelFlushNagle transmits the coalesced queue from kernel context.
 func (c *TCP) kernelFlushNagle() {
 	seg := c.nagleQ
-	c.nagleQ = nil
 	if len(seg) > c.sndCredit {
-		// Window closed: put it back; the next update retries.
-		c.nagleQ = seg
+		// Window closed: keep it queued; the next update retries.
 		return
 	}
-	k := c.cl.Costs
+	c.nagleQ = nil
 	c.sndCredit -= len(seg)
 	c.unacked += len(seg)
-	payload := make([]byte, len(seg))
-	copy(payload, seg)
-	c.SegmentsOut++
-	c.med.Deliver(c.host, c.peer.host, len(seg)+TCPIPHeader, DeliverOpts{}, func() {
-		c.cl.SchedOf(c.peer.host).After(k.TCPPerSegment, func() {
-			c.peer.rq = append(c.peer.rq, payload...)
-			c.peer.BytesIn += len(payload)
-			c.peer.readable.Broadcast()
-			for _, fn := range c.peer.watchers {
-				fn()
-			}
-		})
-	})
+	c.sendData(seg)
 }
 
 // Buffered reports how many received bytes are waiting in the kernel.
-func (c *TCP) Buffered() int { return len(c.rq) }
+func (c *TCP) Buffered() int { return len(c.rq) - c.rqHead }
 
 // Readable reports whether a Read would return without blocking.
-func (c *TCP) Readable() bool { return len(c.rq) > 0 }
+func (c *TCP) Readable() bool { return len(c.rq) > c.rqHead }
 
 // OnReadable registers fn to run whenever new bytes become readable; used
 // by pollers that watch many connections. fn runs in event context.

@@ -92,7 +92,7 @@ func (u *UDP) transmit(dst int, data []byte) {
 		if fragLen < 0 {
 			fragLen = 0
 		}
-		ok := u.med.Deliver(u.host, dst, fragLen+UDPIPHeader, DeliverOpts{Droppable: true}, func() {
+		ok := u.med.Deliver(u.host, dst, fragLen+UDPIPHeader, DeliverOpts{Droppable: true}, sim.Func(func() {
 			arrived++
 			// Each complete fragment set yields a datagram, so a duplicated
 			// wire frame surfaces as a duplicate datagram (as real IP
@@ -109,7 +109,7 @@ func (u *UDP) transmit(dst int, data []byte) {
 					}
 				})
 			}
-		})
+		}))
 		if !ok {
 			lost = true
 		}

@@ -198,6 +198,48 @@ func TestMatcherUnexpectedAllocFree(t *testing.T) {
 	}
 }
 
+// TestMatcherBinsBounded runs 10k exchanges, each on a fresh tag as halo
+// steps use them, and requires the bin maps to hold only what is in
+// flight: a drained bin is retired, including the step-specific sibling
+// bins of a consumed unexpected message, which hold only its tombstone.
+func TestMatcherBinsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		postedFirst bool
+		src         int // receive pattern's source
+	}{
+		{"posted-first", true, 1},
+		{"unexpected-first", false, 1},
+		{"unexpected-first-anysource", false, AnySource},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var m Matcher
+			for tag := 0; tag < 10000; tag++ {
+				env := Envelope{Source: 1, Tag: tag, Context: 0}
+				req := &Request{IsRecv: true, Env: Envelope{Source: tc.src, Tag: tag, Context: 0}}
+				if tc.postedFirst {
+					m.PostRecv(req)
+					if m.Arrive(env) != req {
+						t.Fatalf("tag %d: arrival missed its posted receive", tag)
+					}
+				} else {
+					msg := &InMsg{Env: env}
+					m.AddUnexpected(msg)
+					if m.PostRecv(req) != msg {
+						t.Fatalf("tag %d: receive missed its unexpected message", tag)
+					}
+				}
+			}
+			if n := len(m.posted) + len(m.unex); n != 0 {
+				t.Errorf("%d bins still mapped after every exchange completed", n)
+			}
+			if n := len(m.qFree); n > 4 {
+				t.Errorf("%d retired bins kept, want at most the 4 one exchange uses", n)
+			}
+		})
+	}
+}
+
 // TestBufPoolRecycles checks class rounding, hit/miss accounting and the
 // bytes-recycled counter.
 func TestBufPoolRecycles(t *testing.T) {

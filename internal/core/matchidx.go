@@ -25,7 +25,11 @@ package core
 // or exact — reads exactly one bin, whose FIFO order is arrival order.
 // Removal from the three sibling bins of a consumed unexpected entry is
 // lazy: entries are tombstoned and reclaimed when a bin is next read, or
-// compacted when tombstones outnumber live entries.
+// compacted when tombstones outnumber live entries. Each bin counts its
+// live entries, so consuming an entry updates its siblings' counts
+// eagerly, and a bin whose count reaches zero is retired at once: its key
+// leaves the map and the bin goes to a freelist. Workloads that use a new
+// tag per step therefore keep only the bins they are using.
 //
 // Non-overtaking (proof sketch, expanded in DESIGN.md §10). For a fixed
 // (source, context) the transports deliver envelopes in send order, so
@@ -37,9 +41,9 @@ package core
 // linear scan's choice, which is the MPI-required one.
 //
 // Allocation. Entries and bins come from freelists and bin slices are
-// recycled in place, so steady-state matching allocates nothing; combined
-// with the bounce-buffer pools (pool.go) the eager receive path runs at
-// zero allocations per message.
+// recycled with their bins, so steady-state matching allocates nothing.
+// Only the bin maps can still allocate, when inserting new keys after
+// deletions makes the runtime rehash a map.
 
 // binKey identifies one matching bin: an arrival triple, a posted pattern,
 // or one of an arrival's four generalizations (source and tag may be
@@ -69,23 +73,20 @@ type matchEnt struct {
 type entQ struct {
 	items     []*matchEnt
 	head      int
-	compactAt int // window size that triggers the next compaction
+	live      int    // entries in items[head:] not tombstoned
+	compactAt int    // window size that triggers the next compaction
+	key       binKey // the bin's key in its map
 }
 
 const minCompactWindow = 32
 
-// push appends ent (taking a reference), reusing the slice from the front
-// when the bin has fully drained and compacting when the slice — live
-// window plus consumed prefix — outgrows twice the live population. Both
-// bounds together keep a bin's slice at O(live) and the amortized cost per
-// push at O(1), so steady-state cycling through a bin never grows it.
+// push appends ent (taking a reference), compacting when the slice — live
+// window plus consumed prefix — outgrows twice the live population. This
+// keeps a bin's slice at O(live) and the amortized cost per push at O(1);
+// a bin that drains is retired (Matcher.retire), which resets its slice.
 func (q *entQ) push(ent *matchEnt, m *Matcher) {
 	ent.refs++
-	if q.head > 0 && q.head == len(q.items) {
-		// Drained: every slot before head is already nil.
-		q.items = q.items[:0]
-		q.head = 0
-	}
+	q.live++
 	q.items = append(q.items, ent)
 	if q.compactAt == 0 {
 		q.compactAt = minCompactWindow
@@ -117,7 +118,8 @@ func (q *entQ) compact(m *Matcher) int {
 }
 
 // first returns the earliest live entry without consuming it, reclaiming
-// any tombstones in front of it. An emptied bin resets to reuse its slice.
+// any tombstones in front of it. A mapped bin always holds a live entry,
+// since a bin is retired when its last one goes.
 func (q *entQ) first(m *Matcher) *matchEnt {
 	for q.head < len(q.items) {
 		ent := q.items[q.head]
@@ -128,8 +130,6 @@ func (q *entQ) first(m *Matcher) *matchEnt {
 		q.head++
 		m.unref(ent)
 	}
-	q.items = q.items[:0]
-	q.head = 0
 	return nil
 }
 
@@ -140,6 +140,7 @@ func (q *entQ) take(ent *matchEnt, m *Matcher) {
 	ent.removed = true
 	q.items[q.head] = nil
 	q.head++
+	q.live--
 	m.unref(ent)
 }
 
@@ -200,8 +201,8 @@ func (m *Matcher) unref(ent *matchEnt) {
 	}
 }
 
-// bin returns the queue for key in mp, creating (or recycling) it on first
-// use. Empty bins stay mapped so their slice capacity is reused.
+// bin returns the queue for key in mp, creating (or recycling a retired
+// one) on first use.
 func (m *Matcher) bin(mp map[binKey]*entQ, key binKey) *entQ {
 	if q := mp[key]; q != nil {
 		return q
@@ -214,8 +215,39 @@ func (m *Matcher) bin(mp map[binKey]*entQ, key binKey) *entQ {
 	} else {
 		q = &entQ{}
 	}
+	q.key = key
 	mp[key] = q
 	return q
+}
+
+// retire unmaps a bin with no live entries, releasing its tombstones, and
+// keeps it (with its slice) for reuse by bin.
+func (m *Matcher) retire(mp map[binKey]*entQ, q *entQ) {
+	for _, ent := range q.items[q.head:] {
+		m.unref(ent)
+	}
+	clear(q.items)
+	q.items, q.head, q.compactAt = q.items[:0], 0, 0
+	delete(mp, q.key)
+	m.qFree = append(m.qFree, q)
+}
+
+// unexKeys lists the distinct bins an unexpected message is indexed under:
+// its arrival triple and that triple's generalizations, degenerate
+// triples collapsing to fewer.
+func unexKeys(env Envelope) (keys [4]binKey, n int) {
+	src, tag, ctx := env.Source, env.Tag, env.Context
+	keys[0], n = mkKey(src, tag, ctx), 1
+	if tag != AnyTag {
+		keys[n], n = mkKey(src, AnyTag, ctx), n+1
+	}
+	if src != AnySource {
+		keys[n], n = mkKey(AnySource, tag, ctx), n+1
+		if tag != AnyTag {
+			keys[n], n = mkKey(AnySource, AnyTag, ctx), n+1
+		}
+	}
+	return keys, n
 }
 
 // PostRecv registers r and returns the earliest unexpected message that
@@ -226,12 +258,23 @@ func (m *Matcher) bin(mp map[binKey]*entQ, key binKey) *entQ {
 func (m *Matcher) PostRecv(r *Request) *InMsg {
 	key := mkKey(r.Env.Source, r.Env.Tag, r.Env.Context)
 	if q := m.unex[key]; q != nil {
-		if ent := q.first(m); ent != nil {
-			msg := ent.msg
-			q.take(ent, m)
-			m.unexN--
-			return msg
+		ent := q.first(m)
+		msg := ent.msg
+		q.take(ent, m)
+		m.unexN--
+		// The message leaves its sibling bins too; they see the tombstone
+		// lazily but count it out now.
+		keys, n := unexKeys(msg.Env)
+		for _, k := range keys[:n] {
+			sq := m.unex[k]
+			if k != key {
+				sq.live--
+			}
+			if sq.live == 0 {
+				m.retire(m.unex, sq)
+			}
 		}
+		return msg
 	}
 	if m.posted == nil {
 		m.posted = make(map[binKey]*entQ)
@@ -253,8 +296,7 @@ func (m *Matcher) consider(key binKey, best *matchEnt, bestQ *entQ) (*matchEnt, 
 	if q == nil {
 		return best, bestQ
 	}
-	ent := q.first(m)
-	if ent != nil && (best == nil || ent.seq < best.seq) {
+	if ent := q.first(m); best == nil || ent.seq < best.seq {
 		return ent, q
 	}
 	return best, bestQ
@@ -289,6 +331,9 @@ func (m *Matcher) Arrive(env Envelope) *Request {
 	}
 	req := best.req
 	bestQ.take(best, m)
+	if bestQ.live == 0 {
+		m.retire(m.posted, bestQ)
+	}
 	m.postedN--
 	m.countPattern(req.Env, -1)
 	return req
@@ -306,16 +351,9 @@ func (m *Matcher) AddUnexpected(msg *InMsg) {
 	ent.msg = msg
 	m.seq++
 	ent.seq = m.seq
-	src, tag, ctx := msg.Env.Source, msg.Env.Tag, msg.Env.Context
-	m.bin(m.unex, mkKey(src, tag, ctx)).push(ent, m)
-	if tag != AnyTag {
-		m.bin(m.unex, mkKey(src, AnyTag, ctx)).push(ent, m)
-	}
-	if src != AnySource {
-		m.bin(m.unex, mkKey(AnySource, tag, ctx)).push(ent, m)
-		if tag != AnyTag {
-			m.bin(m.unex, mkKey(AnySource, AnyTag, ctx)).push(ent, m)
-		}
+	keys, n := unexKeys(msg.Env)
+	for _, k := range keys[:n] {
+		m.bin(m.unex, k).push(ent, m)
 	}
 	m.unexN++
 }
@@ -333,10 +371,7 @@ func (m *Matcher) Probe(src, tag, ctx int) *InMsg {
 	if q == nil {
 		return nil
 	}
-	if ent := q.first(m); ent != nil {
-		return ent.msg
-	}
-	return nil
+	return q.first(m).msg
 }
 
 // CancelRecv removes a posted receive, reporting whether it was still
@@ -350,6 +385,10 @@ func (m *Matcher) CancelRecv(r *Request) bool {
 	for _, ent := range q.items[q.head:] {
 		if ent.req == r && !ent.removed {
 			ent.removed = true // reclaimed when the bin is next read
+			q.live--
+			if q.live == 0 {
+				m.retire(m.posted, q)
+			}
 			m.postedN--
 			m.countPattern(r.Env, -1)
 			return true

@@ -127,26 +127,40 @@ func (t *MemTransport) creditsFor(dst int) int {
 // deliver ships pkt to dst after the fabric latency. Every call site runs
 // on t's own lane (sends from the rank's proc, credit/CTS turnarounds from
 // delivery context), so Route's staging is always lane-local; on a
-// single-scheduler fabric Route degrades to a plain timer.
-func (t *MemTransport) deliver(dst int, pkt *Packet) {
+// single-scheduler fabric Route degrades to a plain timer. The packet
+// travels inside its own delivery event, one allocation per packet.
+func (t *MemTransport) deliver(dst int, pkt Packet) {
 	t.NSent++
-	t.s.RouteAfter(t.fab.laneFor(dst), t.fab.Latency, func() {
-		peer := t.fab.eps[dst]
-		if peer == nil {
-			panic(fmt.Sprintf("memtransport: no endpoint for rank %d", dst))
-		}
-		peer.NDelivered++
-		if pkt.Kind == PktCredit {
-			// Credits are transport-internal: restore and drain the queue.
-			peer.avail[pkt.Env.Dest] = peer.creditsFor(pkt.Env.Dest) + pkt.Env.Count
-			peer.drainSendQ(pkt.Env.Dest)
-			peer.creditCnd.Broadcast()
-			peer.eng.Wake()
-			return
-		}
-		peer.inbox = append(peer.inbox, pkt)
+	d := &memDelivery{t: t, dst: dst, pkt: pkt}
+	t.s.RouteH(t.fab.laneFor(dst), t.s.Now()+sim.Time(t.fab.Latency), d)
+}
+
+// memDelivery is one packet crossing the fabric: the packet and the event
+// that lands it in the destination's inbox.
+type memDelivery struct {
+	t   *MemTransport
+	dst int
+	pkt Packet
+}
+
+// Fire implements sim.Handler; it runs on dst's lane.
+func (d *memDelivery) Fire() {
+	peer := d.t.fab.eps[d.dst]
+	if peer == nil {
+		panic(fmt.Sprintf("memtransport: no endpoint for rank %d", d.dst))
+	}
+	peer.NDelivered++
+	pkt := &d.pkt
+	if pkt.Kind == PktCredit {
+		// Credits are transport-internal: restore and drain the queue.
+		peer.avail[pkt.Env.Dest] = peer.creditsFor(pkt.Env.Dest) + pkt.Env.Count
+		peer.drainSendQ(pkt.Env.Dest)
+		peer.creditCnd.Broadcast()
 		peer.eng.Wake()
-	})
+		return
+	}
+	peer.inbox = append(peer.inbox, pkt)
+	peer.eng.Wake()
 }
 
 // drainSendQ transmits queued sends for dst, in issue order, while flow
@@ -164,7 +178,7 @@ func (t *MemTransport) drainSendQ(dst int) {
 			t.sendEager(req)
 			t.eng.SendDone(req)
 		} else {
-			t.deliver(dst, &Packet{Kind: PktRTS, Env: req.Env})
+			t.deliver(dst, Packet{Kind: PktRTS, Env: req.Env})
 		}
 		q = q[1:]
 	}
@@ -188,7 +202,7 @@ func (t *MemTransport) bounce(dst, n int) ([]byte, *BufPool) {
 func (t *MemTransport) sendEager(req *Request) {
 	data, pool := t.bounce(req.Env.Dest, len(req.Buf))
 	copy(data, req.Buf)
-	t.deliver(req.Env.Dest, &Packet{Kind: PktEager, Env: req.Env, Data: data, Pool: pool})
+	t.deliver(req.Env.Dest, Packet{Kind: PktEager, Env: req.Env, Data: data, Pool: pool})
 }
 
 // Send implements Transport. Messages queue in issue order behind any
@@ -202,7 +216,7 @@ func (t *MemTransport) Send(p *sim.Proc, req *Request) {
 	}
 	if n > t.fab.Eager {
 		// Rendezvous: ship the envelope; the payload moves on CTS.
-		t.deliver(dst, &Packet{Kind: PktRTS, Env: req.Env})
+		t.deliver(dst, Packet{Kind: PktRTS, Env: req.Env})
 		return
 	}
 	if t.creditsFor(dst) < n {
@@ -217,7 +231,7 @@ func (t *MemTransport) Send(p *sim.Proc, req *Request) {
 // Accept implements Transport: CTS back to the sender; the payload will
 // arrive as PktData carrying the receiver request id.
 func (t *MemTransport) Accept(p *sim.Proc, msg *InMsg, req *Request) {
-	t.deliver(msg.Env.Source, &Packet{Kind: PktCTS, Env: msg.Env, ReqID: msg.Env.SendID, Handle: req.ID})
+	t.deliver(msg.Env.Source, Packet{Kind: PktCTS, Env: msg.Env, ReqID: msg.Env.SendID, Handle: req.ID})
 }
 
 // SendPayload implements Transport: the CTS surfaced at the sender; move
@@ -226,13 +240,13 @@ func (t *MemTransport) SendPayload(p *sim.Proc, req *Request, pkt *Packet) {
 	data, pool := t.bounce(req.Env.Dest, len(req.Buf))
 	copy(data, req.Buf)
 	recvID, _ := pkt.Handle.(int64)
-	t.deliver(req.Env.Dest, &Packet{Kind: PktData, Env: req.Env, ReqID: recvID, Data: data, Pool: pool})
+	t.deliver(req.Env.Dest, Packet{Kind: PktData, Env: req.Env, ReqID: recvID, Data: data, Pool: pool})
 	t.eng.SendDone(req)
 }
 
 // Control implements Transport.
 func (t *MemTransport) Control(p *sim.Proc, dst int, kind PacketKind, env Envelope) {
-	t.deliver(dst, &Packet{Kind: kind, Env: env, ReqID: env.SendID})
+	t.deliver(dst, Packet{Kind: kind, Env: env, ReqID: env.SendID})
 }
 
 // Release implements Transport: return n bounce bytes to the sender side.
@@ -241,7 +255,7 @@ func (t *MemTransport) Release(p *sim.Proc, src int, n int) {
 		return
 	}
 	// Env.Dest names the rank whose credit account at src is restored.
-	t.deliver(src, &Packet{Kind: PktCredit, Env: Envelope{Dest: t.rank, Count: n}})
+	t.deliver(src, Packet{Kind: PktCredit, Env: Envelope{Dest: t.rank, Count: n}})
 }
 
 // PeerDown implements PeerFencer: drop sends queued toward the dead rank

@@ -232,7 +232,7 @@ func (t *FatTree) Deliver(src, dst, nbytes int, perByte sim.Duration, fn func())
 		for _, l := range route {
 			l.ExtendBusy(end)
 		}
-		t.stage.Exit(t.m.Nodes[dst].Lane, end+sim.Time(sim.Duration(2*hops+detours)*t.HopLatency), fn)
+		t.stage.Exit(t.m.Nodes[dst].Lane, end+sim.Time(sim.Duration(2*hops+detours)*t.HopLatency), sim.Func(fn))
 	})
 }
 

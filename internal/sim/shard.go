@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -65,7 +67,7 @@ type xmsg struct {
 	srcLane int
 	srcSeq  uint64
 	dst     int
-	fn      func()
+	h       Handler
 	next    *xmsg // freelist link while recycled
 }
 
@@ -153,10 +155,15 @@ func (sh *Shard) Now() Time {
 // at or beyond the current horizon (guaranteed when the modeled latency is
 // >= the shard lookahead), otherwise Route panics — delivering into the
 // current window would break the conservative synchronization contract.
-func (s *Scheduler) Route(dstLane int, t Time, fn func()) {
+func (s *Scheduler) Route(dstLane int, t Time, fn func()) { s.RouteH(dstLane, t, Func(fn)) }
+
+// RouteH is Route for a Handler: h.Fire runs at time t on lane dstLane.
+// A pooled record routed this way belongs to the destination lane from
+// the call on; the sender must not touch it again.
+func (s *Scheduler) RouteH(dstLane int, t Time, h Handler) {
 	sh := s.shard
 	if sh == nil || dstLane == s.lane {
-		s.At(t, fn)
+		s.schedule(t, h, nil)
 		return
 	}
 	if t < s.window {
@@ -165,7 +172,7 @@ func (s *Scheduler) Route(dstLane int, t Time, fn func()) {
 	}
 	s.xseq++
 	m := s.allocX()
-	m.t, m.srcLane, m.srcSeq, m.dst, m.fn = t, s.lane, s.xseq, dstLane, fn
+	m.t, m.srcLane, m.srcSeq, m.dst, m.h = t, s.lane, s.xseq, dstLane, h
 	s.outbox = append(s.outbox, m)
 }
 
@@ -185,7 +192,7 @@ func (s *Scheduler) allocX() *xmsg {
 }
 
 func (s *Scheduler) freeX(m *xmsg) {
-	m.fn = nil
+	m.h = nil
 	m.next = s.xfree
 	s.xfree = m
 }
@@ -241,18 +248,17 @@ func (sh *Shard) merge() {
 		sh.stats.MailboxHighWater = len(sc)
 	}
 	sh.stats.Routed += uint64(len(sc))
-	sort.Slice(sc, func(i, j int) bool {
-		a, b := sc[i], sc[j]
+	slices.SortFunc(sc, func(a, b *xmsg) int {
 		if a.t != b.t {
-			return a.t < b.t
+			return cmp.Compare(a.t, b.t)
 		}
 		if a.srcLane != b.srcLane {
-			return a.srcLane < b.srcLane
+			return cmp.Compare(a.srcLane, b.srcLane)
 		}
-		return a.srcSeq < b.srcSeq
+		return cmp.Compare(a.srcSeq, b.srcSeq)
 	})
 	for _, m := range sc {
-		sh.lanes[m.dst].schedule(m.t, m.fn, nil)
+		sh.lanes[m.dst].schedule(m.t, m.h, nil)
 		sh.lanes[m.srcLane].freeX(m)
 	}
 	sh.scratch = sc[:0]

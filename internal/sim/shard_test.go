@@ -258,23 +258,29 @@ func TestShutdownNeverDispatchedProcRunsNoUserCode(t *testing.T) {
 
 // --- allocation-free scheduling ---
 
-// Intra-lane event scheduling must be allocation-free in steady state:
-// after pool warmup, Advance (schedule + coroutine dispatch) and FIFO
-// reservations allocate nothing, on both kernels.
+// Event scheduling must be allocation-free in steady state: after pool
+// warmup, Advance (schedule + coroutine dispatch), FIFO reservations and
+// Handler events — local (AtH) and cross-lane (RouteH) — allocate nothing,
+// on both kernels.
 func TestLaneSchedulingAllocFree(t *testing.T) {
-	measure := func(s *Scheduler, drive func() (Time, error)) uint64 {
+	measure := func(s *Scheduler, dstLane int, drive func() (Time, error)) uint64 {
 		f := NewFIFO(s, "link")
+		var h countHandler
+		step := func(p *Proc) {
+			p.Advance(10)
+			f.UseAsync(1, nil)
+			s.AtH(s.Now()+5, &h)
+			s.RouteH(dstLane, s.Now()+Time(time.Microsecond), &h)
+		}
 		var delta uint64
 		s.Spawn("hot", func(p *Proc) {
 			for i := 0; i < 1000; i++ { // warm the event pool and heap
-				p.Advance(10)
-				f.UseAsync(1, nil)
+				step(p)
 			}
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			for i := 0; i < 5000; i++ {
-				p.Advance(10)
-				f.UseAsync(1, nil)
+				step(p)
 			}
 			runtime.ReadMemStats(&m1)
 			delta = m1.Mallocs - m0.Mallocs
@@ -282,22 +288,36 @@ func TestLaneSchedulingAllocFree(t *testing.T) {
 		if _, err := drive(); err != nil {
 			t.Fatal(err)
 		}
+		if h != 2*6000 {
+			t.Fatalf("%d handler events fired, want %d", h, 2*6000)
+		}
 		return delta
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	t.Run("lane", func(t *testing.T) {
 		sh := NewShard(1, 1, time.Microsecond)
-		if d := measure(sh.Lane(0), sh.Run); d != 0 {
+		if d := measure(sh.Lane(0), 0, sh.Run); d != 0 {
 			t.Fatalf("lane steady-state scheduling allocated %d times", d)
+		}
+	})
+	t.Run("cross-lane", func(t *testing.T) {
+		sh := NewShard(1, 2, time.Microsecond)
+		if d := measure(sh.Lane(0), 1, sh.Run); d != 0 {
+			t.Fatalf("cross-lane steady-state scheduling allocated %d times", d)
 		}
 	})
 	t.Run("scheduler", func(t *testing.T) {
 		s := NewScheduler(1)
-		if d := measure(s, s.Run); d != 0 {
+		if d := measure(s, 0, s.Run); d != 0 {
 			t.Fatalf("scheduler steady-state scheduling allocated %d times", d)
 		}
 	})
 }
+
+// countHandler counts its firings.
+type countHandler int
+
+func (h *countHandler) Fire() { *h++ }
 
 // --- differential oracle ---
 

@@ -60,14 +60,25 @@ func (st *Stage) Request(src *Scheduler, process func(t0 Time)) {
 	src.Route(st.home.lane, t0+st.eps, func() { process(t0) })
 }
 
-// Exit leaves the stage: fn runs at t on dstLane. Called from the
+// RequestH is Request for a pooled record: h.Fire runs on the home lane
+// where process would have run, inline when standalone. h carries its own
+// stamp — src.Now() at this call — and must backdate to it.
+func (st *Stage) RequestH(src *Scheduler, h Handler) {
+	if st.eps == 0 {
+		h.Fire()
+		return
+	}
+	src.RouteH(st.home.lane, src.now+st.eps, h)
+}
+
+// Exit leaves the stage: h runs at t on dstLane. Called from the
 // processing callback (home-lane context); t must be at or beyond the
 // processing epoch's horizon, which the construction-time span bound
 // guarantees.
-func (st *Stage) Exit(dstLane int, t Time, fn func()) {
-	st.home.Route(dstLane, t, fn)
+func (st *Stage) Exit(dstLane int, t Time, h Handler) {
+	st.home.RouteH(dstLane, t, h)
 }
 
 // At schedules a home-lane-local event (wire completions, counter decay)
 // from the processing callback.
-func (st *Stage) At(t Time, fn func()) { st.home.At(t, fn) }
+func (st *Stage) At(t Time, h Handler) { st.home.AtH(t, h) }

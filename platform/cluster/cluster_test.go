@@ -458,3 +458,46 @@ func TestDeterministicCluster(t *testing.T) {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
 	}
 }
+
+// A 1 KiB eager round trip on cluster/tcp has an allocation budget, so the
+// packet path's pooling cannot quietly regress. Each round trip is two
+// messages; their frames and window updates cross the sockets, the fault
+// layer and the ATM fabric without allocating. The budget is what remains
+// above the wire: per message, the send and receive requests in mpi and
+// core, and the packet the transport parses out of the byte stream.
+func TestTCPPingPongAllocBudget(t *testing.T) {
+	const warm, runs, budget = 64, 200, 11
+	var allocs float64
+	_, err := Run(Config{Hosts: 2, Transport: TCP, Network: atm.OverATM}, func(c *mpi.Comm) error {
+		data := make([]byte, 1024)
+		buf := make([]byte, 1024)
+		var err error
+		if c.Rank() == 0 {
+			rtt := func() {
+				if err == nil {
+					err = c.Send(1, 0, data)
+				}
+				if err == nil {
+					_, err = c.Recv(1, 0, buf)
+				}
+			}
+			for i := 0; i < warm; i++ {
+				rtt()
+			}
+			allocs = testing.AllocsPerRun(runs, rtt)
+			return err
+		}
+		for i := 0; i < warm+runs+1 && err == nil; i++ {
+			if _, err = c.Recv(0, 0, buf); err == nil {
+				err = c.Send(0, 0, data)
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > budget {
+		t.Fatalf("1 KiB eager round trip allocates %.1f objects, budget %d", allocs, budget)
+	}
+}

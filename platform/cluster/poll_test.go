@@ -158,3 +158,28 @@ func TestTCP64Golden(t *testing.T) {
 		})
 	}
 }
+
+// Jitter reorders TCP segments on the wire. The receiver must reassemble
+// them in sequence order: appending them in arrival order corrupts the
+// framing, and the job then parks every rank on a frame that never
+// completes. 32 KiB frames span several segments, so a halo exchange under
+// 500 µs of jitter reorders many of them.
+func TestTCPJitterReorder(t *testing.T) {
+	spec := registry.SpecFor("cluster/tcp")
+	spec.Ranks, spec.Seed, spec.Jitter = 8, 1, 500*time.Microsecond
+	w, err := registry.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := workload.Config{Pattern: "halo", Backend: "cluster/tcp", Ranks: 8, Seed: 1, Steps: 20, Bytes: 32 << 10}
+	res, err := workload.Run(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Summary.Events, 20*8; got != want {
+		t.Errorf("%d SLO events, want %d", got, want)
+	}
+	if len(res.Report.Protocol) != 0 {
+		t.Errorf("protocol errors: %v", res.Report.Protocol)
+	}
+}
