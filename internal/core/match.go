@@ -7,8 +7,8 @@ type InMsg struct {
 	Env    Envelope
 	Data   []byte   // eager payload (bounce buffer); nil for rendezvous RTS
 	Rndv   bool     // true when this is an RTS awaiting Accept
-	Handle any      // transport cookie for Accept (e.g. connection, slot id)
-	Pool   *BufPool // owner of Data, for recycling after the bounce copy; nil if unpooled
+	Handle int64    // transport cookie for Accept (e.g. connection, slot id)
+	Pool   *BufPool // the receiving engine's pool, for recycling Data after the bounce copy; nil if unpooled
 }
 
 // envMatches reports whether a posted receive pattern (src, tag, ctx)

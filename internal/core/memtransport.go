@@ -27,13 +27,14 @@ type MemFabric struct {
 	sh     *sim.Shard
 	laneOf []int // world rank -> lane; nil when single-scheduler
 
-	eps map[int]*MemTransport
+	eps  []*MemTransport // by world rank
+	free *sim.Freelist[memDelivery]
 }
 
 // NewMemFabric returns a fabric for the given scheduler. Attach endpoints
 // with Attach before running.
 func NewMemFabric(s *sim.Scheduler, latency sim.Duration, eager int) *MemFabric {
-	return &MemFabric{S: s, Latency: latency, Eager: eager, eps: make(map[int]*MemTransport)}
+	return &MemFabric{S: s, Latency: latency, Eager: eager, free: sim.NewFreelist[memDelivery](s)}
 }
 
 // NewShardedMemFabric returns a fabric whose rank endpoints are pinned to
@@ -46,7 +47,7 @@ func NewShardedMemFabric(sh *sim.Shard, laneOf []int, latency sim.Duration, eage
 	}
 	return &MemFabric{
 		S: sh.Lane(0), Latency: latency, Eager: eager,
-		sh: sh, laneOf: laneOf, eps: make(map[int]*MemTransport),
+		sh: sh, laneOf: laneOf, free: sim.NewFreelist[memDelivery](sh.Lane(0)),
 	}
 }
 
@@ -67,11 +68,6 @@ func (f *MemFabric) laneFor(rank int) int {
 	return f.laneOf[rank]
 }
 
-// crossLane reports whether a and b live on different lanes.
-func (f *MemFabric) crossLane(a, b int) bool {
-	return f.laneOf != nil && f.laneOf[a] != f.laneOf[b]
-}
-
 // Attach creates the rank's transport and wires it to engine e. In a
 // sharded fabric, e must have been built on its rank's lane scheduler.
 func (f *MemFabric) Attach(e *Engine) *MemTransport {
@@ -85,7 +81,10 @@ func (f *MemFabric) Attach(e *Engine) *MemTransport {
 		sendQ:     make(map[int][]*Request),
 		creditCnd: sim.NewCond(s),
 	}
-	f.eps[e.Rank()] = t
+	for len(f.eps) <= t.rank {
+		f.eps = append(f.eps, nil)
+	}
+	f.eps[t.rank] = t
 	e.SetTransport(t)
 	return t
 }
@@ -96,8 +95,7 @@ type MemTransport struct {
 	eng   *Engine
 	s     *sim.Scheduler // this rank's (lane) scheduler
 	rank  int
-	inbox []*Packet
-	inPos int // consumed prefix of inbox; avoids O(n) head shifts
+	inbox Inbox
 
 	// Sender-side credit state per destination; lazily initialized to the
 	// fabric's credit allotment.
@@ -128,29 +126,33 @@ func (t *MemTransport) creditsFor(dst int) int {
 // on t's own lane (sends from the rank's proc, credit/CTS turnarounds from
 // delivery context), so Route's staging is always lane-local; on a
 // single-scheduler fabric Route degrades to a plain timer. The packet
-// travels inside its own delivery event, one allocation per packet.
+// travels inside a pooled delivery event, drawn here on t's lane.
 func (t *MemTransport) deliver(dst int, pkt Packet) {
 	t.NSent++
-	d := &memDelivery{t: t, dst: dst, pkt: pkt}
+	d := t.fab.free.Get(t.s)
+	*d = memDelivery{fab: t.fab, dst: dst, pkt: pkt}
 	t.s.RouteH(t.fab.laneFor(dst), t.s.Now()+sim.Time(t.fab.Latency), d)
 }
 
 // memDelivery is one packet crossing the fabric: the packet and the event
 // that lands it in the destination's inbox.
 type memDelivery struct {
-	t   *MemTransport
+	fab *MemFabric
 	dst int
 	pkt Packet
 }
 
-// Fire implements sim.Handler; it runs on dst's lane.
+// Fire implements sim.Handler; it runs on dst's lane, and returns the
+// record to that lane's list before landing the packet.
 func (d *memDelivery) Fire() {
-	peer := d.t.fab.eps[d.dst]
+	peer := d.fab.eps[d.dst]
 	if peer == nil {
 		panic(fmt.Sprintf("memtransport: no endpoint for rank %d", d.dst))
 	}
+	pkt := d.pkt
+	*d = memDelivery{}
+	peer.fab.free.Put(peer.s, d)
 	peer.NDelivered++
-	pkt := &d.pkt
 	if pkt.Kind == PktCredit {
 		// Credits are transport-internal: restore and drain the queue.
 		peer.avail[pkt.Env.Dest] = peer.creditsFor(pkt.Env.Dest) + pkt.Env.Count
@@ -159,7 +161,7 @@ func (d *memDelivery) Fire() {
 		peer.eng.Wake()
 		return
 	}
-	peer.inbox = append(peer.inbox, pkt)
+	peer.inbox.Push(pkt)
 	peer.eng.Wake()
 }
 
@@ -185,18 +187,12 @@ func (t *MemTransport) drainSendQ(dst int) {
 	t.sendQ[dst] = q
 }
 
-// bounce allocates delivery storage for a payload copy. Same-lane (and
-// single-scheduler) transfers draw from the sender engine's pool and the
-// receiving engine recycles the buffer after copy-out — safe because both
-// ends share one scheduler. A cross-lane Put would mutate the source
-// lane's freelist from the destination lane, so those transfers use plain
-// GC-owned buffers (Pool nil) instead.
+// bounce draws delivery storage for a payload copy from the sender
+// engine's pool and names the receiving engine's pool as its owner, which
+// recycles it after copy-out. Each pool is thus touched only from its own
+// rank's lane, even when the buffer crosses lanes (see BufPool).
 func (t *MemTransport) bounce(dst, n int) ([]byte, *BufPool) {
-	if t.fab.crossLane(t.rank, dst) {
-		return make([]byte, n), nil
-	}
-	pool := t.eng.Pool()
-	return pool.Get(n), pool
+	return t.eng.Pool().Get(n), t.fab.eps[dst].eng.Pool()
 }
 
 func (t *MemTransport) sendEager(req *Request) {
@@ -239,8 +235,7 @@ func (t *MemTransport) Accept(p *sim.Proc, msg *InMsg, req *Request) {
 func (t *MemTransport) SendPayload(p *sim.Proc, req *Request, pkt *Packet) {
 	data, pool := t.bounce(req.Env.Dest, len(req.Buf))
 	copy(data, req.Buf)
-	recvID, _ := pkt.Handle.(int64)
-	t.deliver(req.Env.Dest, Packet{Kind: PktData, Env: req.Env, ReqID: recvID, Data: data, Pool: pool})
+	t.deliver(req.Env.Dest, Packet{Kind: PktData, Env: req.Env, ReqID: pkt.Handle, Data: data, Pool: pool})
 	t.eng.SendDone(req)
 }
 
@@ -267,26 +262,17 @@ func (t *MemTransport) PeerDown(rank int) {
 	t.creditCnd.Broadcast()
 }
 
-// Poll implements Transport. The inbox keeps a consumed-prefix index and
-// recycles its backing array once drained, so steady-state polling neither
-// shifts nor reallocates.
+// Poll implements Transport.
 func (t *MemTransport) Poll(p *sim.Proc) *Packet {
-	if t.inPos == len(t.inbox) {
+	if t.inbox.Len() == 0 {
 		return nil
 	}
 	t.eng.Acct().Charge(p, CostProtocol, t.fab.PollCost)
-	pkt := t.inbox[t.inPos]
-	t.inbox[t.inPos] = nil
-	t.inPos++
-	if t.inPos == len(t.inbox) {
-		t.inbox = t.inbox[:0]
-		t.inPos = 0
-	}
-	return pkt
+	return t.inbox.Pop()
 }
 
 // Pending implements Transport.
-func (t *MemTransport) Pending() bool { return t.inPos < len(t.inbox) }
+func (t *MemTransport) Pending() bool { return t.inbox.Len() > 0 }
 
 // ------------------------------------------------------------ RemoteMemory --
 //

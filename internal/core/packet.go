@@ -82,8 +82,8 @@ type Packet struct {
 	Env    Envelope
 	Data   []byte   // eager payload (bounce storage owned by transport until Release)
 	ReqID  int64    // CTS/SyncAck: sender request; Data: receiver request
-	Handle any      // transport cookie threaded from RTS to Accept
-	Pool   *BufPool // owner of Data; the engine recycles the bounce buffer after its copy-out
+	Handle int64    // transport cookie threaded from RTS to Accept
+	Pool   *BufPool // the receiving engine's pool, which takes Data back after its copy-out; nil if unpooled
 }
 
 // Transport moves bytes and charges platform time on behalf of an Engine.
@@ -129,6 +129,8 @@ type Transport interface {
 
 	// Poll surfaces the next arrived packet, charging p the platform's
 	// per-packet receive costs (kernel reads, slot scans); nil when idle.
+	// The packet belongs to the transport (see Inbox.Pop) and is valid only
+	// until the next Poll: the engine copies out what it keeps.
 	Poll(p *sim.Proc) *Packet
 
 	// Pending cheaply reports whether Poll would surface a packet.

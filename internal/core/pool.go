@@ -9,11 +9,15 @@ import "math/bits"
 // hit/miss and bytes-recycled counters are booked into the owning Acct for
 // the trace tool.
 //
-// Pools are deliberately unsynchronized: every pool is owned by one
-// simulated world, whose scheduler admits a single running proc at a time,
-// so Get/Put never race. Buffers may migrate between the pools of
-// different ranks in one world (a receiver recycles a frame the sender's
-// pool allocated); that is safe for the same reason.
+// Pools are deliberately unsynchronized. A pool belongs to one rank's
+// engine and is only ever touched from that rank's lane, which on the
+// parallel kernel runs concurrently with the other lanes. Buffers still
+// move between ranks under that owner-lane rule: a sender draws a bounce
+// buffer from its own pool and names the receiver's pool as the packet's
+// Pool, and the receiving engine recycles it there after its copy-out. So
+// each pool sees Get only from its owner sending and Put only from its
+// owner receiving. The buffer crosses lanes inside a routed event, which
+// the shard's barrier orders.
 type BufPool struct {
 	acct    *Acct
 	classes [poolClasses][][]byte

@@ -192,8 +192,8 @@ func (t *FatTree) climb(src, dst int) int {
 // one serialization span: the transfer starts when every lane on the
 // route is free and occupies them all together — the ascent contributes
 // hop latency only (full bisection). Event-context safe; must be called
-// from src's lane context on a sharded machine. fn runs on dst's lane.
-func (t *FatTree) Deliver(src, dst, nbytes int, perByte sim.Duration, fn func()) {
+// from src's lane context on a sharded machine. h runs on dst's lane.
+func (t *FatTree) Deliver(src, dst, nbytes int, perByte sim.Duration, h sim.Handler) {
 	hops := t.climb(src, dst)
 	d := sim.Duration(nbytes) * perByte
 	t.stage.Request(t.m.Nodes[src].S, func(t0 sim.Time) {
@@ -232,7 +232,7 @@ func (t *FatTree) Deliver(src, dst, nbytes int, perByte sim.Duration, fn func())
 		for _, l := range route {
 			l.ExtendBusy(end)
 		}
-		t.stage.Exit(t.m.Nodes[dst].Lane, end+sim.Time(sim.Duration(2*hops+detours)*t.HopLatency), sim.Func(fn))
+		t.stage.Exit(t.m.Nodes[dst].Lane, end+sim.Time(sim.Duration(2*hops+detours)*t.HopLatency), h)
 	})
 }
 

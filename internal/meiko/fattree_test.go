@@ -86,7 +86,7 @@ func TestFatTreeOrderPreserved(t *testing.T) {
 	s.At(0, func() {
 		for i := 0; i < 6; i++ {
 			i := i
-			m.Nodes[3].Txn(12, 50, false, func() { order = append(order, i) })
+			m.Nodes[3].Txn(12, 50, false, sim.Func(func() { order = append(order, i) }))
 		}
 	})
 	if _, err := s.Run(); err != nil {

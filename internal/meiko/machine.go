@@ -25,11 +25,13 @@ type Machine struct {
 	// Tree, when set (see NewFatTree), routes unicast traffic through the
 	// staged fat-tree model instead of the flat-latency wire.
 	Tree *FatTree
+
+	txns *sim.Freelist[txn] // transactions in flight, recycled per lane
 }
 
 // NewMachine builds an n-node CS/2 on scheduler s.
 func NewMachine(s *sim.Scheduler, n int, c Costs) *Machine {
-	m := &Machine{S: s, Costs: c}
+	m := &Machine{S: s, Costs: c, txns: sim.NewFreelist[txn](s)}
 	for i := 0; i < n; i++ {
 		m.Nodes = append(m.Nodes, newNode(m, i, s, 0))
 	}
@@ -43,7 +45,7 @@ func NewShardedMachine(sh *sim.Shard, laneOf []int, n int, c Costs) *Machine {
 	if sim.Duration(c.WireLatency) < sh.Lookahead() {
 		panic(fmt.Sprintf("meiko: wire latency %v below shard lookahead %v", c.WireLatency, sh.Lookahead()))
 	}
-	m := &Machine{S: sh.Lane(0), Costs: c}
+	m := &Machine{S: sh.Lane(0), Costs: c, txns: sim.NewFreelist[txn](sh.Lane(0))}
 	for i := 0; i < n; i++ {
 		m.Nodes = append(m.Nodes, newNode(m, i, sh.Lane(laneOf[i]), laneOf[i]))
 	}
@@ -83,25 +85,55 @@ type Node struct {
 //
 // Txn is safe to call from event context; delivery order between a given
 // (src, dst) pair is FIFO because packets serialize on the source port and
-// experience identical latency.
-func (n *Node) Txn(dst int, nbytes int, elanIssued bool, deliver func()) {
+// experience identical latency. deliver.Fire runs on dst's lane. The
+// transaction travels as a pooled record, so a caller that reuses its
+// Handler allocates nothing.
+func (n *Node) Txn(dst int, nbytes int, elanIssued bool, deliver sim.Handler) {
+	x := n.M.txns.Get(n.S)
+	*x = txn{src: n, dst: dst, nbytes: nbytes, deliver: deliver}
 	if elanIssued {
-		n.Elan.UseAsync(n.M.Costs.ElanTxnHandle, func() { n.sendTxn(dst, nbytes, deliver) })
+		n.Elan.UseAsyncH(n.M.Costs.ElanTxnHandle, x)
 		return
 	}
-	n.sendTxn(dst, nbytes, deliver)
+	x.inject()
 }
 
-// sendTxn injects a transaction on the source port. Kept out of Txn so a
-// SPARC-issued transaction, the common case, allocates no closure for the
-// Elan hop it skips.
-func (n *Node) sendTxn(dst int, nbytes int, deliver func()) {
-	c := n.M.Costs
-	n.Out.UseAsync(sim.Duration(nbytes)*c.TxnPerByte, func() {
-		n.M.transit(n, dst, nbytes, c.TxnPerByte, func() {
-			n.M.Nodes[dst].Elan.UseAsync(c.ElanTxnHandle, deliver)
-		})
-	})
+// txn is one remote transaction in flight. The record is its own event at
+// every step: source Elan (Elan-issued only), injection port, wire,
+// destination Elan. It is drawn on the source's lane and goes back on the
+// destination's list before deliver fires.
+type txn struct {
+	src     *Node
+	dst     int
+	nbytes  int
+	step    uint8 // 0: issued; 1: on the wire; 2: at the destination Elan; 3: done
+	deliver sim.Handler
+}
+
+// inject serializes the transaction onto the source's injection port.
+func (x *txn) inject() {
+	x.step = 1
+	x.src.Out.UseAsyncH(sim.Duration(x.nbytes)*x.src.M.Costs.TxnPerByte, x)
+}
+
+// Fire implements sim.Handler.
+func (x *txn) Fire() {
+	m := x.src.M
+	switch x.step {
+	case 0:
+		x.inject()
+	case 1:
+		x.step = 2
+		m.transit(x.src, x.dst, x.nbytes, m.Costs.TxnPerByte, x)
+	case 2:
+		x.step = 3
+		m.Nodes[x.dst].Elan.UseAsyncH(m.Costs.ElanTxnHandle, x)
+	default:
+		deliver, ds := x.deliver, m.Nodes[x.dst].S
+		*x = txn{}
+		m.txns.Put(ds, x)
+		deliver.Fire()
+	}
 }
 
 // DMA models an Elan-driven bulk transfer of nbytes to node dst. The Elan
@@ -118,13 +150,13 @@ func (n *Node) DMA(dst int, nbytes int, onLocal, onRemote func()) {
 			if onLocal != nil {
 				onLocal()
 			}
-			n.M.transit(n, dst, nbytes, c.DMAPerByte, func() {
+			n.M.transit(n, dst, nbytes, c.DMAPerByte, sim.Func(func() {
 				n.M.Nodes[dst].Elan.UseAsync(c.ElanDMARecv, func() {
 					if onRemote != nil {
 						onRemote()
 					}
 				})
-			})
+			}))
 		})
 	})
 }
@@ -165,12 +197,12 @@ func (n *Node) Broadcast(nbytes int, onLocal func(), deliver func(dst *Node)) {
 // the destination's scheduler; on a single-scheduler machine Route
 // degrades to a plain timer and the timing is bit-identical to the
 // historical After path.
-func (m *Machine) transit(src *Node, dst, nbytes int, perByte sim.Duration, fn func()) {
+func (m *Machine) transit(src *Node, dst, nbytes int, perByte sim.Duration, h sim.Handler) {
 	if m.Tree != nil {
-		m.Tree.Deliver(src.ID, dst, nbytes, perByte, fn)
+		m.Tree.Deliver(src.ID, dst, nbytes, perByte, h)
 		return
 	}
-	src.S.RouteAfter(m.Nodes[dst].Lane, m.Costs.WireLatency, fn)
+	src.S.RouteH(m.Nodes[dst].Lane, src.S.Now()+sim.Time(m.Costs.WireLatency), h)
 }
 
 // Event is an Elan event word: device completions set it, the SPARC waits

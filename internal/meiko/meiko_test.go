@@ -19,7 +19,7 @@ func TestTxnDelivers(t *testing.T) {
 	s, m := newMachine(2)
 	var deliveredAt sim.Time
 	s.At(0, func() {
-		m.Nodes[0].Txn(1, 8, false, func() { deliveredAt = s.Now() })
+		m.Nodes[0].Txn(1, 8, false, sim.Func(func() { deliveredAt = s.Now() }))
 	})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestTxnFIFOPerPair(t *testing.T) {
 	s.At(0, func() {
 		for i := 0; i < 5; i++ {
 			i := i
-			m.Nodes[0].Txn(1, 100, false, func() { order = append(order, i) })
+			m.Nodes[0].Txn(1, 100, false, sim.Func(func() { order = append(order, i) }))
 		}
 	})
 	if _, err := s.Run(); err != nil {
@@ -368,11 +368,11 @@ func TestElanOccupancySerializes(t *testing.T) {
 	var last sim.Time
 	s.At(0, func() {
 		for i := 1; i <= burst; i++ {
-			m.Nodes[i].Txn(0, 8, false, func() {
+			m.Nodes[i].Txn(0, 8, false, sim.Func(func() {
 				if s.Now() > last {
 					last = s.Now()
 				}
-			})
+			}))
 		}
 	})
 	if _, err := s.Run(); err != nil {

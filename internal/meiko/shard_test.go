@@ -15,7 +15,7 @@ func TestShardedMachineMatchesSingleScheduler(t *testing.T) {
 	run := func(m *Machine, drive func() (sim.Time, error)) result {
 		var r result
 		src := m.Nodes[0]
-		src.Txn(1, 64, false, func() { r.txn = m.Nodes[1].S.Now() })
+		src.Txn(1, 64, false, sim.Func(func() { r.txn = m.Nodes[1].S.Now() }))
 		src.DMA(2, 4096,
 			func() { r.dmaLocal = src.S.Now() },
 			func() { r.dmaRemote = m.Nodes[2].S.Now() })
@@ -50,8 +50,8 @@ func TestShardedMachineElanContention(t *testing.T) {
 	c := DefaultCosts()
 	run := func(m *Machine, drive func() (sim.Time, error)) []sim.Time {
 		var ends []sim.Time
-		m.Nodes[0].Txn(2, 256, false, func() { ends = append(ends, m.Nodes[2].S.Now()) })
-		m.Nodes[1].Txn(2, 256, false, func() { ends = append(ends, m.Nodes[2].S.Now()) })
+		m.Nodes[0].Txn(2, 256, false, sim.Func(func() { ends = append(ends, m.Nodes[2].S.Now()) }))
+		m.Nodes[1].Txn(2, 256, false, sim.Func(func() { ends = append(ends, m.Nodes[2].S.Now()) }))
 		if _, err := drive(); err != nil {
 			t.Fatal(err)
 		}
@@ -85,9 +85,9 @@ func TestShardedMachineFatTreeMatchesSingleScheduler(t *testing.T) {
 			src := src
 			// Everyone converges on node 0's leaf group: the incast case
 			// where down-link contention decides the timing.
-			m.Nodes[src].Txn((src+1)%2, 512, false, func() {
+			m.Nodes[src].Txn((src+1)%2, 512, false, sim.Func(func() {
 				ends[src] = m.Nodes[(src+1)%2].S.Now()
-			})
+			}))
 		}
 		if _, err := drive(); err != nil {
 			t.Fatal(err)
@@ -132,4 +132,63 @@ func TestShardedMachineRejectsShortWire(t *testing.T) {
 		}
 	}()
 	NewShardedMachine(sh, []int{0, 1}, 2, c)
+}
+
+// countDelivery counts deliveries; one value is reused for every
+// transaction.
+type countDelivery int
+
+func (c *countDelivery) Fire() { *c++ }
+
+// txnEvent issues one Txn from its source node's lane context.
+type txnEvent struct {
+	src        *Node
+	dst, n     int
+	elanIssued bool
+	h          sim.Handler
+}
+
+func (e *txnEvent) Fire() { e.src.Txn(e.dst, e.n, e.elanIssued, e.h) }
+
+// A transaction with a reused Handler allocates nothing once the
+// machine's record lists are warm, on one scheduler and across lanes.
+func TestTxnAllocFree(t *testing.T) {
+	c := DefaultCosts()
+	for _, tc := range []struct {
+		name  string
+		build func() (*Machine, func() (sim.Time, error))
+	}{
+		{"single", func() (*Machine, func() (sim.Time, error)) {
+			s := sim.NewScheduler(1)
+			return NewMachine(s, 2, c), s.Run
+		}},
+		{"sharded", func() (*Machine, func() (sim.Time, error)) {
+			sh := sim.NewShard(1, 2, c.WireLatency)
+			return NewShardedMachine(sh, []int{0, 1}, 2, c), sh.Run
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, drive := tc.build()
+			var got countDelivery
+			sends := []*txnEvent{{m.Nodes[0], 1, 64, false, &got}, {m.Nodes[1], 0, 8, true, &got}}
+			send := func() {
+				for _, e := range sends {
+					s := e.src.S
+					s.AtH(s.Now(), e)
+				}
+				if _, err := drive(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				send()
+			}
+			if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+				t.Fatalf("Txn allocates %.1f objects per transaction pair, want 0", allocs)
+			}
+			if want := countDelivery(2 * (16 + 101)); got != want {
+				t.Fatalf("%d deliveries, want %d", got, want)
+			}
+		})
+	}
 }

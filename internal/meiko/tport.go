@@ -117,9 +117,9 @@ func (t *Tport) ISend(p *sim.Proc, dst int, tag uint64, data []byte) *TportReq {
 		stable := make([]byte, n)
 		copy(stable, data)
 		t.node.Elan.UseAsync(c.ElanTportSend, func() {
-			t.node.Txn(dst, TportHeaderBytes+n, false, func() {
+			t.node.Txn(dst, TportHeaderBytes+n, false, sim.Func(func() {
 				peerPort(peer).arriveEager(src, tag, stable)
-			})
+			}))
 			complete() // locally complete once handed to the wire
 		})
 		return req
@@ -138,9 +138,9 @@ func (t *Tport) ISend(p *sim.Proc, dst int, tag uint64, data []byte) *TportReq {
 		t.node.DMA(dst, m, complete, func() { done(m) })
 	}
 	t.node.Elan.UseAsync(c.ElanTportSend, func() {
-		t.node.Txn(dst, TportHeaderBytes, false, func() {
+		t.node.Txn(dst, TportHeaderBytes, false, sim.Func(func() {
 			peerPort(peer).arriveRndv(rv)
-		})
+		}))
 	})
 	return req
 }
@@ -243,14 +243,14 @@ func (t *Tport) arriveRndv(rv *tportRndv) {
 // cts sends the clear-to-send back to the sender's Elan and arranges
 // completion when the DMA lands.
 func (t *Tport) cts(rv *tportRndv, rc *tportRecv) {
-	t.node.Txn(rv.src, TportHeaderBytes, true, func() {
+	t.node.Txn(rv.src, TportHeaderBytes, true, sim.Func(func() {
 		rv.onCTS(rc.buf, func(n int) {
 			rc.req.N = n
 			rc.req.Src = rv.src
 			rc.req.Tag = rv.tag
 			rc.req.finish()
 		})
-	})
+	}))
 }
 
 // deliverUnexpected completes a receive from the unexpected queue

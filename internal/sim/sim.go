@@ -24,7 +24,8 @@
 // the Func adapter, which costs nothing beyond the closure itself; hot
 // paths that run one record through several steps (a packet crossing a
 // NIC, a link and a switch) instead implement Handler on a pooled record
-// and schedule it with AtH and RouteH, so they allocate nothing per event.
+// and schedule it with AtH, RouteH and FIFO.UseAsyncH, so they allocate
+// nothing per event.
 // Freelist keeps such records per lane.
 package sim
 
@@ -403,10 +404,19 @@ func (f *FIFO) Use(p *Proc, d Duration) {
 // the device-side counterpart of Use and may be called from event context.
 // It returns the completion time.
 func (f *FIFO) UseAsync(d Duration, fn func()) Time {
+	if fn == nil {
+		return f.UseAsyncH(d, nil)
+	}
+	return f.UseAsyncH(d, Func(fn))
+}
+
+// UseAsyncH is UseAsync for a Handler: h.Fire runs at the completion time,
+// with no closure to allocate. A nil h only reserves the slot.
+func (f *FIFO) UseAsyncH(d Duration, h Handler) Time {
 	start := f.reserve(d)
 	end := start + Time(d)
-	if fn != nil {
-		f.s.At(end, fn)
+	if h != nil {
+		f.s.AtH(end, h)
 	}
 	return end
 }

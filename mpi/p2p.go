@@ -11,10 +11,7 @@ type Request struct {
 }
 
 // Wait blocks until the request completes.
-func (r *Request) Wait() (Status, error) {
-	st, err := r.c.ep.Wait(r.c.p, r.req)
-	return r.c.fixStatus(st), err
-}
+func (r *Request) Wait() (Status, error) { return r.c.wait(r.req) }
 
 // Test reports whether the request has completed, making progress.
 func (r *Request) Test() (Status, bool, error) {
@@ -36,12 +33,18 @@ func (r *Request) Done() bool { return r.req.Done() }
 
 // ---------------------------------------------------------------- sends --
 
-func (c *Comm) isend(dst, tag int, mode core.Mode, data []byte) (*Request, error) {
+// startSend starts a send on the endpoint. The blocking calls wait on the
+// engine request directly, so they allocate no Request wrapper.
+func (c *Comm) startSend(dst, tag int, mode core.Mode, data []byte) (*core.Request, error) {
 	wr, err := c.worldRank(dst)
 	if err != nil {
 		return nil, err
 	}
-	req, err := c.ep.Isend(c.p, wr, tag, c.ctx, mode, data)
+	return c.ep.Isend(c.p, wr, tag, c.ctx, mode, data)
+}
+
+func (c *Comm) isend(dst, tag int, mode core.Mode, data []byte) (*Request, error) {
+	req, err := c.startSend(dst, tag, mode, data)
 	if err != nil {
 		return nil, err
 	}
@@ -49,11 +52,11 @@ func (c *Comm) isend(dst, tag int, mode core.Mode, data []byte) (*Request, error
 }
 
 func (c *Comm) send(dst, tag int, mode core.Mode, data []byte) error {
-	r, err := c.isend(dst, tag, mode, data)
+	req, err := c.startSend(dst, tag, mode, data)
 	if err != nil {
 		return err
 	}
-	_, err = r.Wait()
+	_, err = c.ep.Wait(c.p, req)
 	return err
 }
 
@@ -102,14 +105,25 @@ func (c *Comm) Ibsend(dst, tag int, data []byte) (*Request, error) {
 
 // -------------------------------------------------------------- receives --
 
-// Irecv posts a nonblocking receive (MPI_Irecv). src may be AnySource and
-// tag may be AnyTag.
-func (c *Comm) Irecv(src, tag int, buf []byte) (*Request, error) {
+// startRecv posts a receive on the endpoint.
+func (c *Comm) startRecv(src, tag int, buf []byte) (*core.Request, error) {
 	wr, err := c.worldRank(src)
 	if err != nil {
 		return nil, err
 	}
-	req, err := c.ep.Irecv(c.p, wr, tag, c.ctx, buf)
+	return c.ep.Irecv(c.p, wr, tag, c.ctx, buf)
+}
+
+// wait blocks until req completes and reports its communicator status.
+func (c *Comm) wait(req *core.Request) (Status, error) {
+	st, err := c.ep.Wait(c.p, req)
+	return c.fixStatus(st), err
+}
+
+// Irecv posts a nonblocking receive (MPI_Irecv). src may be AnySource and
+// tag may be AnyTag.
+func (c *Comm) Irecv(src, tag int, buf []byte) (*Request, error) {
+	req, err := c.startRecv(src, tag, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +132,11 @@ func (c *Comm) Irecv(src, tag int, buf []byte) (*Request, error) {
 
 // Recv is the blocking receive (MPI_Recv).
 func (c *Comm) Recv(src, tag int, buf []byte) (Status, error) {
-	r, err := c.Irecv(src, tag, buf)
+	req, err := c.startRecv(src, tag, buf)
 	if err != nil {
 		return Status{}, err
 	}
-	return r.Wait()
+	return c.wait(req)
 }
 
 // Probe blocks until a matching message is available and reports its
@@ -149,18 +163,18 @@ func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
 // Sendrecv concurrently sends to dst and receives from src, avoiding the
 // cyclic-blocking pitfall (MPI_Sendrecv).
 func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte) (Status, error) {
-	rr, err := c.Irecv(src, recvTag, recvBuf)
+	rr, err := c.startRecv(src, recvTag, recvBuf)
 	if err != nil {
 		return Status{}, err
 	}
-	sr, err := c.Isend(dst, sendTag, sendData)
+	sr, err := c.startSend(dst, sendTag, core.ModeStandard, sendData)
 	if err != nil {
 		return Status{}, err
 	}
-	if _, err := sr.Wait(); err != nil {
+	if _, err := c.ep.Wait(c.p, sr); err != nil {
 		return Status{}, err
 	}
-	return rr.Wait()
+	return c.wait(rr)
 }
 
 // --------------------------------------------------- multiple completion --

@@ -462,11 +462,11 @@ func TestDeterministicCluster(t *testing.T) {
 // A 1 KiB eager round trip on cluster/tcp has an allocation budget, so the
 // packet path's pooling cannot quietly regress. Each round trip is two
 // messages; their frames and window updates cross the sockets, the fault
-// layer and the ATM fabric without allocating. The budget is what remains
-// above the wire: per message, the send and receive requests in mpi and
-// core, and the packet the transport parses out of the byte stream.
+// layer and the ATM fabric without allocating, and parsed packets land in
+// the transport's value-typed inbox. The budget is what remains: per
+// message, the engine's send and receive requests.
 func TestTCPPingPongAllocBudget(t *testing.T) {
-	const warm, runs, budget = 64, 200, 11
+	const warm, runs, budget = 64, 200, 4
 	var allocs float64
 	_, err := Run(Config{Hosts: 2, Transport: TCP, Network: atm.OverATM}, func(c *mpi.Comm) error {
 		data := make([]byte, 1024)

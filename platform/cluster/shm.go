@@ -35,8 +35,7 @@ type shmTransport struct {
 	eager int
 	peers []*shmTransport
 
-	inbox []*core.Packet
-	inPos int // consumed prefix of inbox; avoids O(n) head shifts
+	inbox core.Inbox
 
 	// lastArrival[dst] is the latest delivery time already scheduled
 	// toward dst; successors are clamped to it (write-buffer FIFO).
@@ -92,13 +91,13 @@ func (t *shmTransport) xferDelay(dst, n int) sim.Duration {
 // deliver ships pkt into dst's mailbox after the FIFO-clamped store delay
 // for n payload bytes. Payload storage must be a GC-owned snapshot made on
 // this lane (Pool nil): the packet may cross lanes.
-func (t *shmTransport) deliver(dst, n int, pkt *core.Packet) {
+func (t *shmTransport) deliver(dst, n int, pkt core.Packet) {
 	t.s.RouteAfter(t.cl.LaneOf(dst), t.xferDelay(dst, n), func() {
 		peer := t.peers[dst]
 		if peer == nil {
 			panic(fmt.Sprintf("cluster/shm: no endpoint for rank %d", dst))
 		}
-		peer.inbox = append(peer.inbox, pkt)
+		peer.inbox.Push(pkt)
 		peer.eng.Wake()
 	})
 }
@@ -118,30 +117,29 @@ func (t *shmTransport) MaxEager() int { return t.eager }
 // RTS/CTS rendezvous so the payload lands straight in the posted buffer.
 func (t *shmTransport) Send(p *sim.Proc, req *core.Request) {
 	if req.Env.Count > t.eager {
-		t.deliver(req.Env.Dest, 0, &core.Packet{Kind: core.PktRTS, Env: req.Env})
+		t.deliver(req.Env.Dest, 0, core.Packet{Kind: core.PktRTS, Env: req.Env})
 		return
 	}
-	t.deliver(req.Env.Dest, len(req.Buf), &core.Packet{Kind: core.PktEager, Env: req.Env, Data: snapshot(req.Buf)})
+	t.deliver(req.Env.Dest, len(req.Buf), core.Packet{Kind: core.PktEager, Env: req.Env, Data: snapshot(req.Buf)})
 	t.eng.SendDone(req)
 }
 
 // Accept implements core.Transport: CTS back to the sender; the payload
 // arrives as PktData carrying the receiver request id.
 func (t *shmTransport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
-	t.deliver(msg.Env.Source, 0, &core.Packet{Kind: core.PktCTS, Env: msg.Env, ReqID: msg.Env.SendID, Handle: req.ID})
+	t.deliver(msg.Env.Source, 0, core.Packet{Kind: core.PktCTS, Env: msg.Env, ReqID: msg.Env.SendID, Handle: req.ID})
 }
 
 // SendPayload implements core.Transport: the CTS surfaced at the sender;
 // burst the payload into the receiver's posted buffer.
 func (t *shmTransport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet) {
-	recvID, _ := pkt.Handle.(int64)
-	t.deliver(req.Env.Dest, len(req.Buf), &core.Packet{Kind: core.PktData, Env: req.Env, ReqID: recvID, Data: snapshot(req.Buf)})
+	t.deliver(req.Env.Dest, len(req.Buf), core.Packet{Kind: core.PktData, Env: req.Env, ReqID: pkt.Handle, Data: snapshot(req.Buf)})
 	t.eng.SendDone(req)
 }
 
 // Control implements core.Transport.
 func (t *shmTransport) Control(p *sim.Proc, dst int, kind core.PacketKind, env core.Envelope) {
-	t.deliver(dst, 0, &core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
+	t.deliver(dst, 0, core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 }
 
 // Release implements core.Transport: the segment has no credit scheme, so
@@ -150,22 +148,15 @@ func (t *shmTransport) Release(p *sim.Proc, src int, n int) {}
 
 // Poll implements core.Transport.
 func (t *shmTransport) Poll(p *sim.Proc) *core.Packet {
-	if t.inPos == len(t.inbox) {
+	if t.inbox.Len() == 0 {
 		return nil
 	}
 	t.eng.Acct().Charge(p, core.CostProtocol, shmPollCost)
-	pkt := t.inbox[t.inPos]
-	t.inbox[t.inPos] = nil
-	t.inPos++
-	if t.inPos == len(t.inbox) {
-		t.inbox = t.inbox[:0]
-		t.inPos = 0
-	}
-	return pkt
+	return t.inbox.Pop()
 }
 
 // Pending implements core.Transport.
-func (t *shmTransport) Pending() bool { return t.inPos < len(t.inbox) }
+func (t *shmTransport) Pending() bool { return t.inbox.Len() > 0 }
 
 // ------------------------------------------------------------ RemoteMemory --
 //

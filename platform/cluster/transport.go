@@ -40,7 +40,7 @@ type transport struct {
 	// frame is recyclable as soon as the call returns.
 	pool *core.BufPool
 
-	inbox []*core.Packet
+	inbox core.Inbox
 	rr    int      // round-robin parse start
 	ready readySet // TCP peers that may hold unread bytes
 
@@ -295,7 +295,7 @@ func (t *transport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
 // to do it in the background, which is exactly the progress limitation the
 // paper discusses for socket transports.
 func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet) {
-	handle, _ := pkt.Handle.(uint32)
+	handle := uint32(pkt.Handle)
 	delete(t.rndvSend, req.Env.SendID)
 	dst := req.Env.Dest
 	data := req.Buf
@@ -466,7 +466,7 @@ func (t *transport) startRTR(st *rndvRecvSt, total int, mode core.Mode) {
 // pair's credit; the drift is bounded by the stale-claim count and only
 // ever loosens flow control, so we accept it for this rare race.
 func (t *transport) finishRTRFallback(st *rndvRecvSt) {
-	t.inbox = append(t.inbox, &core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce})
+	t.inbox.Push(core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce})
 }
 
 // Control implements core.Transport (synchronous-mode acks).
@@ -538,16 +538,11 @@ func (t *transport) addCredit(src, n int) {
 // step is what returns credits, and a send freed by this very poll must go
 // out now (the engine stops polling once Poll returns nil).
 func (t *transport) Poll(p *sim.Proc) *core.Packet {
-	if len(t.inbox) == 0 {
+	if t.inbox.Len() == 0 {
 		t.parseAvailable(p)
 	}
 	t.shipPending(p)
-	if len(t.inbox) == 0 {
-		return nil
-	}
-	pkt := t.inbox[0]
-	t.inbox = t.inbox[1:]
-	return pkt
+	return t.inbox.Pop()
 }
 
 // shipPending transmits queued sends whose flow control cleared.
@@ -561,7 +556,7 @@ func (t *transport) shipPending(p *sim.Proc) {
 
 // Pending implements core.Transport.
 func (t *transport) Pending() bool {
-	if len(t.inbox) > 0 || len(t.pendingShip) > 0 {
+	if t.inbox.Len() > 0 || len(t.pendingShip) > 0 {
 		return true
 	}
 	if t.kind == TCP {
@@ -672,11 +667,11 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 		t2 := p.Now()
 		conn.ReadFull(p, payload)
 		acct.Book(acctReadData, sim.Duration(p.Now()-t2))
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
 	case core.PktRTS:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env})
 	case core.PktCTS:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Handle: aux})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Handle: int64(aux)})
 	case core.PktData:
 		st := t.rndvRecv[aux]
 		if st == nil {
@@ -694,9 +689,9 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 	case core.PktRTR:
 		t.rtrQ[env.Source] = append(t.rtrQ[env.Source], rtrAd{env: env, aux: aux})
 	case core.PktSyncAck:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 	case core.PktRevoke:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env})
 	case core.PktCredit:
 		// Credit already booked from the header; nothing to surface.
 	default:
@@ -754,7 +749,7 @@ func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, d *tcpData) {
 		t.finishRTRFallback(st)
 		return
 	}
-	t.inbox = append(t.inbox, &core.Packet{Kind: core.PktData, Env: d.env, ReqID: st.req.ID})
+	t.inbox.Push(core.Packet{Kind: core.PktData, Env: d.env, ReqID: st.req.ID})
 }
 
 // parseDgram consumes one reliable datagram, reporting whether one was
@@ -781,11 +776,11 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 	case core.PktEager:
 		data := t.pool.Get(len(payload))
 		copy(data, payload)
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, Data: data, Pool: t.pool})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: data, Pool: t.pool})
 	case core.PktRTS:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env})
 	case core.PktCTS:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Handle: aux})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Handle: int64(aux)})
 	case core.PktData:
 		st := t.rndvRecv[aux]
 		if st == nil {
@@ -813,15 +808,15 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 			if st.bounce != nil {
 				t.finishRTRFallback(st)
 			} else {
-				t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: st.env, ReqID: st.req.ID})
+				t.inbox.Push(core.Packet{Kind: kind, Env: st.env, ReqID: st.req.ID})
 			}
 		}
 	case core.PktRTR:
 		t.rtrQ[env.Source] = append(t.rtrQ[env.Source], rtrAd{env: env, aux: aux})
 	case core.PktSyncAck:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 	case core.PktRevoke:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env})
 	case core.PktCredit:
 	default:
 		t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "unknown packet kind %d", kind))

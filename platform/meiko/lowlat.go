@@ -30,8 +30,9 @@ type lowlatTransport struct {
 	eng  *core.Engine
 	max  int
 	all  []*lowlatTransport // indexed by rank
+	msgs *sim.Freelist[llMsg]
 
-	inbox []*core.Packet
+	inbox core.Inbox
 
 	// Envelope-slot flow control through the shared flow layer: at most
 	// `slots` outstanding envelopes per destination (the paper allocates
@@ -50,7 +51,7 @@ type lowlatTransport struct {
 	bcReady int // ready tokens collected (when acting as root)
 }
 
-func newLowlatTransport(m *meiko.Machine, node *meiko.Node, eng *core.Engine, eager, slots int, all []*lowlatTransport) *lowlatTransport {
+func newLowlatTransport(m *meiko.Machine, node *meiko.Node, eng *core.Engine, eager, slots int, all []*lowlatTransport, msgs *sim.Freelist[llMsg]) *lowlatTransport {
 	if slots < 1 {
 		slots = 1
 	}
@@ -61,6 +62,7 @@ func newLowlatTransport(m *meiko.Machine, node *meiko.Node, eng *core.Engine, ea
 		max:    eager,
 		slots:  slots,
 		all:    all,
+		msgs:   msgs,
 		rndv:   make(map[int64]*core.Request),
 		bcCond: sim.NewCond(node.S),
 	}
@@ -74,10 +76,34 @@ var _ core.Transport = (*lowlatTransport)(nil)
 // MaxEager implements core.Transport.
 func (t *lowlatTransport) MaxEager() int { return t.max }
 
-// push delivers a packet into this rank's slot area (event context).
-func (t *lowlatTransport) push(pkt *core.Packet) {
-	t.inbox = append(t.inbox, pkt)
-	t.eng.Wake()
+// llMsg is one packet crossing the machine in a SPARC-issued transaction:
+// an envelope, a control message, or a slot-free acknowledgement
+// (PktCredit, naming the freed slot's receiver in Env.Source). It is the
+// transaction's deliver Handler, drawn on the sender's lane and returned
+// to the receiver's list before the packet lands.
+type llMsg struct {
+	to  *lowlatTransport
+	pkt core.Packet
+}
+
+// Fire implements sim.Handler; it runs on the receiver's lane.
+func (m *llMsg) Fire() {
+	to, pkt := m.to, m.pkt
+	*m = llMsg{}
+	to.msgs.Put(to.node.S, m)
+	if pkt.Kind == core.PktCredit {
+		to.slotFreed(pkt.Env.Source)
+		return
+	}
+	to.inbox.Push(pkt)
+	to.eng.Wake()
+}
+
+// ship sends pkt to rank dst in an nbytes transaction.
+func (t *lowlatTransport) ship(dst, nbytes int, pkt core.Packet) {
+	m := t.msgs.Get(t.node.S)
+	*m = llMsg{to: t.all[dst], pkt: pkt}
+	t.node.Txn(dst, nbytes, false, m)
 }
 
 // Send implements core.Transport. Every envelope — eager or rendezvous —
@@ -107,33 +133,19 @@ func (t *lowlatTransport) transmit(req *core.Request) {
 	if env.Count > t.max {
 		t.rndv[env.SendID] = req
 		t.eng.Acct().Incr("rndv", 1)
-		t.node.Txn(dst, envelopeTxnBytes, false, func() {
-			t.all[dst].push(&core.Packet{Kind: core.PktRTS, Env: env})
-		})
+		t.ship(dst, envelopeTxnBytes, core.Packet{Kind: core.PktRTS, Env: env})
 		// The envelope slot frees when the receiver consumes the RTS
 		// (see Poll); local completion comes with the DMA.
 		return
 	}
 	t.eng.Acct().Incr("eager", 1)
-	// The per-sender envelope slot is modeled by a pooled bounce buffer:
-	// the receiving engine recycles it after the copy-out that frees the
-	// slot. A cross-lane Put would mutate this lane's freelist from the
-	// destination lane, so cross-lane transfers use a plain GC-owned
-	// buffer (Pool nil) instead.
-	var (
-		pool *core.BufPool
-		data []byte
-	)
-	if t.all[dst].node.S != t.node.S {
-		data = make([]byte, len(req.Buf))
-	} else {
-		pool = t.eng.Pool()
-		data = pool.Get(len(req.Buf))
-	}
+	// The per-sender envelope slot is modeled by a bounce buffer drawn
+	// from this engine's pool and owned by the receiving engine's, which
+	// recycles it after the copy-out that frees the slot; each pool stays
+	// on its own rank's lane (see core.BufPool).
+	data := t.eng.Pool().Get(len(req.Buf))
 	copy(data, req.Buf)
-	t.node.Txn(dst, envelopeTxnBytes+len(data), false, func() {
-		t.all[dst].push(&core.Packet{Kind: core.PktEager, Env: env, Data: data, Pool: pool})
-	})
+	t.ship(dst, envelopeTxnBytes+len(data), core.Packet{Kind: core.PktEager, Env: env, Data: data, Pool: t.all[dst].eng.Pool()})
 	t.eng.SendDone(req)
 }
 
@@ -147,7 +159,7 @@ func (t *lowlatTransport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request
 	env := msg.Env
 	sender := t.all[src]
 	recvEng := t.eng
-	t.node.Txn(src, ctrlTxnBytes, false, func() {
+	t.node.Txn(src, ctrlTxnBytes, false, sim.Func(func() {
 		sreq := sender.rndv[env.SendID]
 		if sreq == nil {
 			return
@@ -176,7 +188,7 @@ func (t *lowlatTransport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request
 				copy(req.Buf[:n], payload[:n])
 				recvEng.RecvDataDone(req, env)
 			})
-	})
+	}))
 }
 
 // SendPayload implements core.Transport. CTS packets never surface to the
@@ -189,9 +201,7 @@ func (t *lowlatTransport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.
 func (t *lowlatTransport) Control(p *sim.Proc, dst int, kind core.PacketKind, env core.Envelope) {
 	c := t.m.Costs
 	t.eng.Acct().Charge(p, core.CostProtocol, c.TxnIssue)
-	t.node.Txn(dst, ctrlTxnBytes, false, func() {
-		t.all[dst].push(&core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
-	})
+	t.ship(dst, ctrlTxnBytes, core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 }
 
 // Release implements core.Transport. The envelope slot was already
@@ -244,26 +254,21 @@ func (t *lowlatTransport) slotFreed(dst int) {
 // may travel while this message waits (possibly unmatched) in the
 // unexpected queue.
 func (t *lowlatTransport) Poll(p *sim.Proc) *core.Packet {
-	if len(t.inbox) == 0 {
+	if t.inbox.Len() == 0 {
 		return nil
 	}
 	t.eng.Acct().Charge(p, core.CostProtocol, slotPollCost)
-	pkt := t.inbox[0]
-	t.inbox = t.inbox[1:]
+	pkt := t.inbox.Pop()
 	switch pkt.Kind {
 	case core.PktEager, core.PktRTS:
 		t.eng.Acct().Charge(p, core.CostProtocol, t.m.Costs.TxnIssue)
-		me := t.eng.Rank()
-		src := pkt.Env.Source
-		t.node.Txn(src, ctrlTxnBytes, false, func() {
-			t.all[src].slotFreed(me)
-		})
+		t.ship(pkt.Env.Source, ctrlTxnBytes, core.Packet{Kind: core.PktCredit, Env: core.Envelope{Source: t.eng.Rank()}})
 	}
 	return pkt
 }
 
 // Pending implements core.Transport.
-func (t *lowlatTransport) Pending() bool { return len(t.inbox) > 0 }
+func (t *lowlatTransport) Pending() bool { return t.inbox.Len() > 0 }
 
 // ------------------------------------------------------------ RemoteMemory --
 //
@@ -299,7 +304,7 @@ func (t *lowlatTransport) rmaApply(dst, win, off int, data []byte, op core.RMAOp
 	peer := t.all[dst]
 	return func() {
 		peer.eng.Win(win).ApplyAccumulate(off, data, op)
-		peer.node.Txn(me, ctrlTxnBytes, true, done)
+		peer.node.Txn(me, ctrlTxnBytes, true, sim.Func(done))
 	}
 }
 
@@ -311,7 +316,7 @@ func (t *lowlatTransport) RMAPut(p *sim.Proc, dst, win, off int, data []byte, do
 	apply := t.rmaApply(dst, win, off, snap, core.RMAReplace, done)
 	if len(snap) <= t.max {
 		t.eng.Acct().Charge(p, core.CostProtocol, c.TxnIssue)
-		t.node.Txn(dst, rmaTxnHdrBytes+len(snap), false, apply)
+		t.node.Txn(dst, rmaTxnHdrBytes+len(snap), false, sim.Func(apply))
 		return
 	}
 	t.eng.Acct().Charge(p, core.CostProtocol, c.DMAIssue)
@@ -326,7 +331,7 @@ func (t *lowlatTransport) RMAAccumulate(p *sim.Proc, dst, win, off int, data []b
 	apply := t.rmaApply(dst, win, off, snap, op, done)
 	if len(snap) <= t.max {
 		t.eng.Acct().Charge(p, core.CostProtocol, c.TxnIssue)
-		t.node.Txn(dst, rmaTxnHdrBytes+len(snap), false, apply)
+		t.node.Txn(dst, rmaTxnHdrBytes+len(snap), false, sim.Func(apply))
 		return
 	}
 	t.eng.Acct().Charge(p, core.CostProtocol, c.DMAIssue)
@@ -341,14 +346,14 @@ func (t *lowlatTransport) RMAGet(p *sim.Proc, dst, win, off int, buf []byte, don
 	me := t.eng.Rank()
 	peer := t.all[dst]
 	t.eng.Acct().Charge(p, core.CostProtocol, c.TxnIssue)
-	t.node.Txn(dst, rmaTxnHdrBytes, false, func() {
+	t.node.Txn(dst, rmaTxnHdrBytes, false, sim.Func(func() {
 		snap := make([]byte, len(buf))
 		peer.eng.Win(win).ReadInto(off, snap)
 		peer.node.DMA(me, rmaTxnHdrBytes+len(snap), func() {}, func() {
 			copy(buf, snap)
 			done()
 		})
-	})
+	}))
 }
 
 // LowLatEndpoint is the low-latency engine plus the CS/2 hardware
@@ -395,11 +400,11 @@ func (ep *LowLatEndpoint) HWBcast(p *sim.Proc, root, ctx int, buf []byte) error 
 		// broadcast to land in our slot.
 		seq := t.bcSeq
 		acct.Charge(p, core.CostProtocol, c.TxnIssue)
-		t.node.Txn(root, ctrlTxnBytes, false, func() {
+		t.node.Txn(root, ctrlTxnBytes, false, sim.Func(func() {
 			rt := t.all[root]
 			rt.bcReady++
 			rt.bcCond.Broadcast()
-		})
+		}))
 		for t.bcSeq == seq {
 			if err := ftCheck(); err != nil {
 				return err

@@ -115,9 +115,10 @@ func NewWorld(cfg Config) (*mpi.World, *meiko.Machine) {
 	switch cfg.Impl {
 	case LowLatency:
 		trs := make([]*lowlatTransport, cfg.Nodes)
+		msgs := sim.NewFreelist[llMsg](m.S)
 		for i := 0; i < cfg.Nodes; i++ {
 			eng := core.NewEngine(m.Nodes[i].S, i, cfg.Nodes, lowlatEngineCosts(), nil)
-			trs[i] = newLowlatTransport(m, m.Nodes[i], eng, eager, cfg.EnvelopeSlots, trs)
+			trs[i] = newLowlatTransport(m, m.Nodes[i], eng, eager, cfg.EnvelopeSlots, trs, msgs)
 			eng.SetTransport(trs[i])
 			eps[i] = &LowLatEndpoint{Engine: eng, tr: trs[i]}
 		}

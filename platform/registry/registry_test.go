@@ -1,9 +1,11 @@
 package registry_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/mpi"
 	"repro/platform/registry"
 
@@ -131,5 +133,95 @@ func TestRunSmokeEveryBackend(t *testing.T) {
 				t.Fatalf("counts = %v", rep.Acct.Count)
 			}
 		})
+	}
+}
+
+// A blocking ping-pong allocates only its send and receive requests, one
+// of each per rank per round trip, once the transports' record lists and
+// buffer pools are warm.
+func TestPingPongAllocBudget(t *testing.T) {
+	const warm, runs = 64, 200
+	for _, tc := range []struct {
+		name   string
+		spec   registry.Spec
+		size   int
+		budget float64
+	}{
+		{"meiko-lowlatency-64B-eager", registry.Spec{Platform: "meiko", Ranks: 2}, 64, 4},
+		{"mem-1KiB-rendezvous", registry.Spec{Platform: "mem", Ranks: 2}, 1024, 4},
+		{"mem-1KiB-rendezvous-2-lanes", registry.Spec{Platform: "mem", Ranks: 2, Lanes: 2}, 1024, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var allocs float64
+			_, err := registry.Run(tc.spec, func(c *mpi.Comm) error {
+				data := make([]byte, tc.size)
+				buf := make([]byte, tc.size)
+				var err error
+				if c.Rank() == 0 {
+					rtt := func() {
+						if err == nil {
+							err = c.Send(1, 0, data)
+						}
+						if err == nil {
+							_, err = c.Recv(1, 0, buf)
+						}
+					}
+					for i := 0; i < warm; i++ {
+						rtt()
+					}
+					allocs = testing.AllocsPerRun(runs, rtt)
+					return err
+				}
+				for i := 0; i < warm+runs+1 && err == nil; i++ {
+					if _, err = c.Recv(0, 0, buf); err == nil {
+						err = c.Send(0, 0, data)
+					}
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs > tc.budget {
+				t.Fatalf("%d B round trip allocates %.1f objects, budget %v", tc.size, allocs, tc.budget)
+			}
+		})
+	}
+}
+
+// On a sharded mem shuffle every payload, cross-lane ones included, draws
+// its bounce buffer from the sender's pool and is recycled into the
+// receiver's, so after warm-up the pools stop missing.
+func TestShardedMemShufflePoolReuse(t *testing.T) {
+	const ranks, block, warm, steps = 8, 1024, 8, 16
+	_, err := registry.Run(registry.Spec{Platform: "mem", Ranks: ranks, Lanes: 2}, func(c *mpi.Comm) error {
+		send := make([]byte, ranks*block)
+		recv := make([]byte, ranks*block)
+		shuffle := func(n int) error {
+			for i := 0; i < n; i++ {
+				if err := c.Alltoall(send, recv); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if err := shuffle(warm); err != nil {
+			return err
+		}
+		acct := c.Acct()
+		miss, hit := acct.Count[core.PoolMiss], acct.Count[core.PoolHit]
+		if err := shuffle(steps); err != nil {
+			return err
+		}
+		if d := acct.Count[core.PoolMiss] - miss; d != 0 {
+			return fmt.Errorf("rank %d: %d pool misses after warm-up", c.Rank(), d)
+		}
+		if d := acct.Count[core.PoolHit] - hit; d < steps*(ranks-1) {
+			return fmt.Errorf("rank %d: %d pool hits for %d payloads", c.Rank(), d, steps*(ranks-1))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
